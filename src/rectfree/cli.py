@@ -21,7 +21,8 @@ Subcommands
 
 Exit codes: 0 success, 2 usage or invalid parameters, 3 budget
 exhausted, 4 verification violation (axiom failure, refused fold, or a
-requested comparison answering "no"), 5 I/O or checkpoint damage.
+requested comparison answering "no"), 5 I/O or checkpoint damage,
+70 internal error (a failed invariant: a bug in rectfree, not a finding).
 
 Everything written to standard output is deterministic for a fixed
 command line and input files; progress and timing lines go to standard
@@ -54,6 +55,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 ENV_CHECKPOINT_DIR = "RECTFREE_CHECKPOINT_DIR"
 
@@ -131,6 +133,10 @@ def cmd_gen(args) -> int:
     if cp is None:
         gen = new_generator(args.n)
         offset, row_hash = 0, EMPTY_ROW_HASH
+    elif cp.detector is not None:
+        raise InvalidParameterError(
+            f"checkpoint {ckpt_path} holds period-detector state; it cannot "
+            f"seed row generation")
     else:
         gen = cp.restore_generator()
         offset, row_hash = cp.log_offset, cp.row_hash
@@ -193,20 +199,17 @@ def cmd_period(args) -> int:
     ckpt_path = _checkpoint_path(args.checkpoint, "period", args.n)
     cp = _load_for(ckpt_path, args.n)
     resume = None
-    row_hash = EMPTY_ROW_HASH
     if cp is not None:
         if cp.detector is None:
             raise InvalidParameterError(
                 f"checkpoint {ckpt_path} has no detector state; it cannot "
                 f"seed period detection")
         resume = cp.restore_resume()
-        row_hash = cp.row_hash
     progress = _Progress(args.progress_every, f"period n={args.n}")
-    state = {"rows": cp.rows_emitted if cp else 0, "hash": row_hash}
+    state = {"rows": cp.rows_emitted if cp else 0}
 
     def on_row(k: int, ones) -> None:
         state["rows"] = k
-        state["hash"] = chain_row_hash(state["hash"], k, ones)
         progress.step(k)
 
     chunk = args.checkpoint_every_rows if ckpt_path else args.max_rows
@@ -220,7 +223,7 @@ def cmd_period(args) -> int:
             resume = exc.resume
             if ckpt_path:
                 save_checkpoint(Checkpoint.capture(
-                    resume.generator, row_hash=state["hash"], log_offset=0,
+                    resume.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
                     detector=resume.detector), ckpt_path)
             if exc.rows_examined >= args.max_rows:
                 print(f"n={args.n} budget exhausted after "
@@ -443,9 +446,12 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConstraintViolationError, InvariantViolationError) as exc:
+    except ConstraintViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except InvariantViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,9 +3,12 @@
 Given a square 0-1 matrix read as lines (rows) over points (columns),
 this module checks the symmetric-configuration axioms, recognizes
 projective planes, builds reference desarguesian planes over small
-finite fields, and decides isomorphism / counts automorphisms via
-canonical color refinement with individualization backtracking on the
-bipartite point/line incidence (Levi) graph.
+finite fields, and answers isomorphism, automorphism and canonical-form
+questions with one search: color refinement with individualization
+backtracking on the bipartite point/line incidence (Levi) graph, explored
+in full.  Its smallest leaf certificate is the canonical form, and the
+number of leaves reaching it is the order of the automorphism group
+(McKay and Piperno, "Practical graph isomorphism, II", 2014).
 
 Convention: automorphisms and isomorphisms map points to points and
 lines to lines; dualities (point/line swaps) are never counted.
@@ -356,8 +359,8 @@ def is_desarguesian(c: Configuration) -> bool:
 
 
 # ---------------------------------------------------------------------
-# Isomorphism, automorphism counting and canonical forms via the Levi
-# graph: refinement + individualization backtracking.
+# Isomorphism, automorphism counting and canonical forms: one
+# refinement + individualization search on the Levi graph.
 
 
 def _levi_adjacency(c: Configuration) -> list[tuple[int, ...]]:
@@ -409,101 +412,9 @@ def _cells_of(colors: list[int]) -> dict[int, list[int]]:
     return cells
 
 
-def _paired_search(adj, n_left: int, colors, find_one: bool) -> int:
-    """Count (or find one) color/adjacency-preserving bijections from
-    the first ``n_left`` vertices onto the rest.
-
-    ``adj`` is the disjoint union of the two graphs being matched, with
-    the left graph on vertices 0..n_left-1.  At each node the smallest
-    still-ambiguous cell is split by pairing its lowest left vertex
-    with every right vertex in turn; leaves are verified edge-by-edge,
-    so refinement fingerprints can never produce a false positive.
-    """
-    colors = _refine(adj, colors)
-    cells = _cells_of(colors)
-    target = None
-    for col in sorted(cells):
-        cell = cells[col]
-        left = [u for u in cell if u < n_left]
-        if 2 * len(left) != len(cell):
-            return 0  # sides are distinguishable: no bijection below here
-        if len(left) > 1 and (target is None or len(cell) < len(target[1])):
-            target = (col, cell, left)
-    if target is None:
-        # Discrete pairing: one left and one right vertex per cell.
-        mapping = [-1] * n_left
-        for cell in cells.values():
-            a, b = cell if cell[0] < n_left else (cell[1], cell[0])
-            mapping[a] = b
-        for u in range(n_left):
-            if sorted(mapping[w] for w in adj[u]) != sorted(adj[mapping[u]]):
-                return 0
-        return 1
-    _, cell, left = target
-    pivot = left[0]
-    total = 0
-    fresh = len(adj)  # ids are < len(adj) after _refine's reranking
-    for w in cell:
-        if w < n_left:
-            continue
-        child = list(colors)
-        child[pivot] = fresh
-        child[w] = fresh
-        total += _paired_search(adj, n_left, child, find_one)
-        if find_one and total:
-            return total
-    return total
-
-
-def _union_graph(a: Configuration, b: Configuration):
-    adj_a = _levi_adjacency(a)
-    adj_b = _levi_adjacency(b)
-    off = len(adj_a)
-    adj = adj_a + [tuple(w + off for w in row) for row in adj_b]
-    # Initial colors distinguish points from lines but not the two sides.
-    colors = ([0] * a.v + [1] * a.v) + ([0] * b.v + [1] * b.v)
-    return adj, off, colors
-
-
-def isomorphic(a: Configuration, b: Configuration, *,
-               vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:
-    """Whether some point->point, line->line bijection maps a onto b."""
-    if a.v != b.v or a.k != b.k:
-        return False
-    # Same-order desarguesian planes are isomorphic outright, and being
-    # desarguesian is isomorphism-invariant; the coordinatization test
-    # settles those pairs without the search, which crawls on planes.
-    da = is_desarguesian(a)
-    db = is_desarguesian(b)
-    if da or db:
-        return da and db
-    adj, off, colors = _union_graph(a, b)
-    if len(adj) > vertex_budget:
-        raise SizeLimitError(
-            f"{len(adj)} search vertices exceed the budget {vertex_budget}")
-    return _paired_search(adj, off, colors, find_one=True) > 0
-
-
-def automorphism_count(c: Configuration, *,
-                       vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
-    """Order of c's automorphism group (dualities excluded).
-
-    Exhaustive: every group element is reached as one verified leaf of
-    the search, so cost grows with the group order — fine for the
-    nearly-rigid structures this project inspects, astronomical for
-    highly symmetric planes.
-    """
-    adj, off, colors = _union_graph(c, c)
-    if len(adj) > vertex_budget:
-        raise SizeLimitError(
-            f"{len(adj)} search vertices exceed the budget {vertex_budget}")
-    count = _paired_search(adj, off, colors, find_one=False)
-    if count < 1:
-        raise InvariantViolationError("identity automorphism not found")
-    return count
-
-
-def _canon_search(adj, colors, best: list[bytes | None]) -> None:
+def _canon_search(adj, colors) -> tuple[bytes, int]:
+    """Smallest leaf certificate below this node and how many leaves
+    reach it; a certificate is the full adjacency relabeled by colors."""
     colors = _refine(adj, colors)
     cells = _cells_of(colors)
     target = None
@@ -517,14 +428,62 @@ def _canon_search(adj, colors, best: list[bytes | None]) -> None:
             inv[col] = u
         cert = repr([sorted(colors[w] for w in adj[inv[i]])
                      for i in range(len(adj))]).encode()
-        if best[0] is None or cert < best[0]:
-            best[0] = cert
-        return
-    fresh = len(adj)
+        return cert, 1
+    # The count of best leaves is |Aut| only because the tree is explored
+    # in full, with no pruning, and the target cell and the fresh color
+    # are chosen invariantly: Aut then acts freely on the leaves, and the
+    # best ones form one orbit.
+    fresh = len(adj)  # ids are < len(adj) after _refine's reranking
+    best, count = None, 0
     for u in target:
         child = list(colors)
         child[u] = fresh
-        _canon_search(adj, child, best)
+        cert, n = _canon_search(adj, child)
+        if best is None or cert < best:
+            best, count = cert, n
+        elif cert == best:
+            count += n
+    return best, count
+
+
+def _levi_search(c: Configuration, charged: int,
+                 vertex_budget: int) -> tuple[bytes, int]:
+    """:func:`_canon_search` on c's Levi graph, if ``charged`` fits."""
+    if charged > vertex_budget:
+        raise SizeLimitError(
+            f"{charged} search vertices exceed the budget {vertex_budget}")
+    return _canon_search(_levi_adjacency(c), [0] * c.v + [1] * c.v)
+
+
+def isomorphic(a: Configuration, b: Configuration, *,
+               vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:
+    """Whether some point->point, line->line bijection maps a onto b:
+    their canonical certificates agree.  Charges 2(a.v + b.v) vertices."""
+    if a.v != b.v or a.k != b.k:
+        return False
+    # Same-order desarguesian planes are isomorphic outright, and being
+    # desarguesian is isomorphism-invariant; the coordinatization test
+    # settles those pairs without the search, which crawls on planes.
+    da = is_desarguesian(a)
+    db = is_desarguesian(b)
+    if da or db:
+        return da and db
+    charged = 2 * (a.v + b.v)
+    return (_levi_search(a, charged, vertex_budget)[0]
+            == _levi_search(b, charged, vertex_budget)[0])
+
+
+def automorphism_count(c: Configuration, *,
+                       vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> int:
+    """Order of c's automorphism group (dualities excluded).
+
+    The number of search leaves reaching the canonical certificate: two
+    such leaves differ by exactly one automorphism, and each automorphism
+    carries one to another.  Cost grows with the group order — fine for
+    the nearly-rigid structures this project inspects, astronomical for
+    highly symmetric planes.  Charges 4v search vertices.
+    """
+    return _levi_search(c, 4 * c.v, vertex_budget)[1]
 
 
 def canonical_form(c: Configuration, *,
@@ -532,16 +491,9 @@ def canonical_form(c: Configuration, *,
     """A label-independent certificate: equal iff configurations are
     isomorphic (point/line-preservingly).
 
-    Minimizes the relabeled Levi adjacency over all discrete leaves of
-    the refinement/individualization tree; cost grows with the
-    automorphism group order, like :func:`automorphism_count`.
+    ``v:k:`` and the smallest relabeled Levi adjacency over the search's
+    leaves; cost grows with the automorphism group order, like
+    :func:`automorphism_count`.  Charges 2v search vertices.
     """
-    adj = _levi_adjacency(c)
-    if len(adj) > vertex_budget:
-        raise SizeLimitError(
-            f"{len(adj)} search vertices exceed the budget {vertex_budget}")
-    colors = [0] * c.v + [1] * c.v
-    best: list[bytes | None] = [None]
-    _canon_search(adj, colors, best)
-    header = f"{c.v}:{c.k}:".encode()
-    return header + best[0]
+    cert, _ = _levi_search(c, 2 * c.v, vertex_budget)
+    return f"{c.v}:{c.k}:".encode() + cert

@@ -2,10 +2,11 @@
 
 Nothing here shares code or data structures with the package: the greedy
 scan keeps the whole matrix as explicit per-row column sets, the
-rectangle check walks every earlier row, and the galf listing is the
-quadruple loop straight from the definition.
+rectangle check walks every earlier row, the galf listing is the
+quadruple loop straight from the definition, and automorphisms and
+isomorphisms are found by trying every point permutation.
 """
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def dense_rows(row_cap: int, col_cap: int, count: int) -> list[tuple[int, ...]]:
@@ -63,3 +64,30 @@ def galfs_oracle(dense) -> set[tuple[int, int]]:
                             and grid[i - 1][l - 1]:
                         cells.add((i, j))
     return cells
+
+
+def _carrying_permutations(a_lines, b_lines):
+    """Every permutation of a's points that carries each line of a onto
+    a line of b.  With distinct lines and equal line counts, each one
+    maps the line set of a onto that of b."""
+    points = sorted({p for line in a_lines for p in line})
+    target = {frozenset(line) for line in b_lines}
+    for image in permutations(points):
+        relabel = dict(zip(points, image))
+        if all(frozenset(relabel[p] for p in line) in target
+               for line in a_lines):
+            yield relabel
+
+
+def automorphism_count_oracle(lines) -> int:
+    """Point permutations mapping the line set onto itself (small v only)."""
+    return sum(1 for _ in _carrying_permutations(lines, lines))
+
+
+def isomorphic_oracle(a_lines, b_lines) -> bool:
+    """Whether some point permutation carries a's line set onto b's."""
+    return (len(a_lines) == len(b_lines)
+            and {p for line in a_lines for p in line}
+            == {p for line in b_lines for p in line}
+            and next(_carrying_permutations(a_lines, b_lines), None)
+            is not None)

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: outputs, exit codes, resume."""
 import pytest
 
-from rectfree import IncidenceMatrix
+from rectfree import IncidenceMatrix, InvariantViolationError
+from rectfree import cli
 from rectfree.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -177,6 +179,20 @@ class TestPeriod:
         assert code == EXIT_USAGE
         assert "cannot seed" in capsys.readouterr().err
 
+    def test_period_checkpoint_cannot_seed_gen(self, tmp_path, capsys):
+        ckpt = tmp_path / "p.ckpt"
+        out = tmp_path / "out.rows"
+        assert main(["period", "-n", "3", "--max-rows", "30", "--checkpoint",
+                     str(ckpt), "--progress-every", "0"]) == EXIT_BUDGET
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        code = main(["gen", "-n", "3", "--rows", "35", "--checkpoint",
+                     str(ckpt), "--out", str(out), "--progress-every", "0"])
+        assert code == EXIT_USAGE
+        assert "cannot seed" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+        assert not out.exists()
+
 
 class TestFold:
     def test_compact_p1_golden(self, capsys):
@@ -284,6 +300,17 @@ class TestVerify:
         code = main(["verify", str(tmp_path / "absent"), "-n", "2"])
         assert code == EXIT_IO
         assert "error:" in capsys.readouterr().err
+
+    def test_internal_error_is_not_a_finding(self, tmp_path, capsys,
+                                             monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantViolationError("identity automorphism not found")
+        monkeypatch.setattr(cli, "automorphism_count", broken)
+        path = fano_file(tmp_path)
+        assert main(["verify", str(path), "-n", "2", "--aut"]) \
+            == EXIT_INTERNAL == 70
+        assert capsys.readouterr().err == (
+            "internal error: identity automorphism not found\n")
 
     def test_unsupported_reference_order(self, tmp_path, capsys):
         path = fano_file(tmp_path)

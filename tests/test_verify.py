@@ -1,7 +1,9 @@
 """Configuration axioms, plane recognition, isomorphism, automorphisms."""
 import random
+from itertools import combinations
 
 import pytest
+from _dense import automorphism_count_oracle, isomorphic_oracle
 
 from rectfree import (
     Configuration,
@@ -36,6 +38,16 @@ E3_16 = [(1, 2, 4, 14), (1, 3, 5, 15), (2, 5, 6, 16), (1, 6, 7, 8),
          (2, 3, 7, 9), (3, 4, 6, 10), (4, 5, 7, 11), (4, 8, 9, 12),
          (5, 8, 10, 13), (6, 9, 11, 13), (7, 10, 12, 14), (8, 11, 14, 15),
          (9, 10, 15, 16), (1, 11, 12, 16), (2, 12, 13, 15), (3, 13, 14, 16)]
+
+SQUARE = [(1, 2), (2, 3), (3, 4), (1, 4)]
+HEPTAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7)]
+# Lines {i, i+1, i+3} mod 8, points renumbered 1..8.
+MOBIUS_KANTOR = [tuple(sorted((i + d) % 8 + 1 for d in (0, 1, 3)))
+                 for i in range(8)]
+# An 11_3 configuration with two automorphisms that is not self-dual.
+NON_SELF_DUAL = [(1, 4, 6), (6, 8, 11), (9, 10, 11), (2, 5, 10), (3, 7, 9),
+                 (5, 6, 7), (1, 5, 8), (1, 3, 10), (2, 4, 7), (2, 8, 9),
+                 (3, 4, 11)]
 
 ALL_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -79,6 +91,34 @@ def relabel(c: Configuration, seed: int) -> Configuration:
     return Configuration(c.v, c.k, tuple(
         tuple(sorted(perm_p[p - 1] for p in c.incidence[i]))
         for i in order))
+
+
+def dual(c: Configuration) -> Configuration:
+    """Swap the roles of points and lines."""
+    return Configuration(c.v, c.k, tuple(c.lines_through()))
+
+
+def random_configuration(v: int, k: int, seed: int) -> Configuration:
+    """A seeded random v_k configuration: random admissible lines, one at
+    a time, restarting whenever no admissible line is left."""
+    rng = random.Random(seed)
+    while True:
+        degree = [0] * (v + 1)
+        pairs: set[tuple[int, int]] = set()
+        lines = []
+        for _ in range(v):
+            free = [p for p in range(1, v + 1) if degree[p] < k]
+            options = [t for t in combinations(free, k)
+                       if pairs.isdisjoint(combinations(t, 2))]
+            if not options:
+                break
+            line = rng.choice(options)
+            lines.append(line)
+            pairs.update(combinations(line, 2))
+            for p in line:
+                degree[p] += 1
+        else:
+            return as_config(lines, k - 1)
 
 
 class TestFindRectangle:
@@ -295,3 +335,51 @@ class TestLeviDot:
             "  p2 -- l3;\n"
             "  p3 -- l3;\n"
             "}\n")
+
+
+ORACLE_CASES = {
+    "triangle": (TRIANGLE, 1),
+    "square": (SQUARE, 1),
+    "hexagon": (HEXAGON, 1),
+    "two_triangles": (TWO_TRIANGLES, 1),
+    "heptagon": (HEPTAGON, 1),
+    "fano": (FANO, 2),
+    "mobius_kantor": (MOBIUS_KANTOR, 2),
+}
+# (v, k, seed): two triangles, a triangle and a square, a heptagon, a
+# triangle and a pentagon, an octagon, relabeled Fano and Mobius-Kantor.
+RANDOM_CASES = [(6, 2, 4), (7, 2, 2), (7, 2, 1), (8, 2, 1), (8, 2, 2),
+                (7, 3, 1), (8, 3, 1)]
+
+
+class TestAgainstBruteForce:
+    """The one canonical search against trying every point permutation."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_named_automorphism_counts(self, name):
+        rows, n = ORACLE_CASES[name]
+        assert automorphism_count(as_config(rows, n)) \
+            == automorphism_count_oracle(rows)
+
+    @pytest.mark.parametrize("v,k,seed", RANDOM_CASES)
+    def test_random_automorphism_counts(self, v, k, seed):
+        c = random_configuration(v, k, seed)
+        assert automorphism_count(c) == automorphism_count_oracle(c.incidence)
+
+    def test_isomorphism_of_every_same_size_pair(self):
+        configs = [as_config(rows, n) for rows, n in ORACLE_CASES.values()]
+        configs += [random_configuration(*case) for case in RANDOM_CASES]
+        answers = set()
+        for a, b in combinations(configs, 2):
+            if (a.v, a.k) == (b.v, b.k):
+                expected = isomorphic_oracle(a.incidence, b.incidence)
+                assert isomorphic(a, b) is expected
+                assert (canonical_form(a) == canonical_form(b)) is expected
+                answers.add(expected)
+        assert answers == {True, False}
+
+    def test_dual_has_the_same_group_but_is_not_isomorphic(self):
+        c = as_config(NON_SELF_DUAL, 2)
+        assert automorphism_count(c) == automorphism_count(dual(c)) == 2
+        assert isomorphic(c, dual(c)) is False
+        assert isomorphic(dual(c), relabel(dual(c), 17)) is True
