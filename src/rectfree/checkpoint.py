@@ -7,15 +7,26 @@ running content hash of all rows emitted so far, and the byte offset the
 row log had reached.  Loading a checkpoint and generating ``t`` further
 rows is bit-identical to never having stopped.
 
-File layout (all integers little-endian):
+File layout, format version 2 (all integers little-endian):
 
 * an 8-byte header: the 6-byte magic ``RFCKPT`` plus a 2-byte format
   version;
-* a sequence of records, each an 8-byte length followed by that many
-  payload bytes — core integers, the running row hash, the live rows,
-  the column weights, the detector tag, the detector payload;
+* six records, each an 8-byte length followed by that many payload
+  bytes: the core integers (n, next row, frontier, rows emitted, log
+  offset), the 32-byte running row hash, the live rows, the column
+  weights, the detector tag, and the detector payload;
 * a trailing 8-byte checksum: the low 8 bytes of SHA-256 over the header
   and records.
+
+A windowed detector payload holds the window, the first ring row and
+the ring's row count; then two packed blocks of signed integers, the
+ring's diagonal offsets (n + 1 per row) and one lag k - l(k) per row;
+then the candidate in flight, if any.  A packed block is its element
+width (the smallest of 1, 2, 4 or 8 bytes that holds every value), its
+byte length, and the elements.  The fingerprint table is not stored:
+loading rebuilds it from the ring.  Version 1 stored every offset in 8
+bytes and the table instead of the lags; it still loads, with an empty
+table, and is never written.
 
 Writes go to a temporary file in the destination directory which is
 fsynced and atomically renamed over the target, so a crash at any
@@ -27,27 +38,26 @@ bytes, each emitted line (with its newline) is absorbed as
 ``sha256(previous_digest + line_bytes)``.  A checkpoint stores the chain
 value and the log byte offset it corresponds to, so a resume can verify
 the prefix it relies on and discard any torn tail beyond it.
-
-Fingerprint terms inside a detector snapshot use the interpreter's
-(stable) integer-tuple hash; a checkpoint read under an interpreter with
-a different tuple hash still resumes correctly — stored fingerprints
-simply stop matching, which can only delay recurrence detection, never
-corrupt it, because every candidate period is verified bit-exactly.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
-from .generator import GeneratorState, format_row_line, parse_row_line
+from .generator import (GeneratorState, MAX_ORDER, format_row_line,
+                        parse_row_line)
 from .period import DetectorSnapshot, ResumeState
 
 MAGIC = b"RFCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)  # only FORMAT_VERSION is written
 
 #: Chain-hash seed for an empty row log.
 EMPTY_ROW_HASH = b"\x00" * 32
@@ -60,6 +70,7 @@ _Q = struct.Struct("<Q")   # unsigned 64-bit
 _SQ = struct.Struct("<q")  # signed 64-bit
 _I = struct.Struct("<I")   # unsigned 32-bit
 _HDR = struct.Struct("<6sH")
+_TYPECODES = {array(code).itemsize: code for code in "qlihb"}
 
 
 def chain_row_hash(digest: bytes, index: int, ones) -> bytes:
@@ -141,6 +152,19 @@ def _enc_ints(*values: int) -> bytes:
 def _enc_offsets(offsets) -> bytes:
     return _I.pack(len(offsets)) + b"".join(_SQ.pack(o) for o in offsets)
 
+def _enc_packed(values) -> bytes:
+    """Width, byte length and elements of the narrowest signed packing."""
+    for width in (1, 2, 4, 8):
+        try:
+            packed = array(_TYPECODES[width], values)
+        except OverflowError:
+            continue
+        if sys.byteorder == "big":
+            packed.byteswap()
+        blob = packed.tobytes()
+        return _Q.pack(width) + _Q.pack(len(blob)) + blob
+    raise InvalidParameterError("a detector value does not fit in 8 bytes")
+
 
 def _encode(cp: Checkpoint) -> list[bytes]:
     core = _enc_ints(cp.n, cp.next_k, cp.frontier_l, cp.rows_emitted,
@@ -157,13 +181,17 @@ def _encode(cp: Checkpoint) -> list[bytes]:
     det: list[bytes] = []
     if cp.detector is not None:
         snap = cp.detector
+        if snap.lags is None:
+            raise InvalidParameterError(
+                "a detector snapshot without lags (format 1) cannot be "
+                "written")
+        offsets = list(chain.from_iterable(snap.ring))
+        if len(offsets) != len(snap.ring) * (cp.n + 1):
+            raise InvalidParameterError(
+                f"every ring row must hold {cp.n + 1} offsets")
         det.append(_enc_ints(snap.window, snap.ring_first, len(snap.ring)))
-        for enc in snap.ring:
-            det.append(_enc_offsets(enc))
-        det.append(_Q.pack(len(snap.entries)))
-        for poly, d, koff, k, l in snap.entries:
-            det.append(_Q.pack(poly) + _Q.pack(d) + _SQ.pack(koff) +
-                       _Q.pack(k) + _Q.pack(l))
+        det.append(_enc_packed(offsets))
+        det.append(_enc_packed(snap.lags))
         if snap.candidate is None:
             det.append(_Q.pack(0))
         else:
@@ -203,13 +231,31 @@ class _Reader:
         count = self.u32()
         return tuple(self.s64() for _ in range(count))
 
+    def packed(self, count: int) -> array:
+        """Signed integers packed by width; there must be ``count``."""
+        width = self.u64()
+        code = _TYPECODES.get(width)
+        if code is None:
+            raise CorruptCheckpointError(
+                f"packed element width {width} is not 1, 2, 4 or 8")
+        size = self.u64()
+        if size != count * width:
+            raise CorruptCheckpointError(
+                f"packed block holds {size} bytes, expected {count} "
+                f"elements of {width} bytes")
+        values = array(code)
+        values.frombytes(self.take(size))
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
+
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise CorruptCheckpointError(
                 f"{len(self.buf) - self.pos} stray bytes in a record")
 
 
-def _decode(records: list[bytes]) -> Checkpoint:
+def _decode(records: list[bytes], version: int) -> Checkpoint:
     if len(records) != 6:
         raise CorruptCheckpointError(
             f"expected 6 records, found {len(records)}")
@@ -217,6 +263,8 @@ def _decode(records: list[bytes]) -> Checkpoint:
     n, next_k, frontier_l, rows_emitted, log_offset = (
         core.u64(), core.u64(), core.u64(), core.u64(), core.u64())
     core.done()
+    if not 1 <= n <= MAX_ORDER:
+        raise CorruptCheckpointError(f"order {n} is out of range")
     row_hash = records[1]
     if len(row_hash) != 32:
         raise CorruptCheckpointError("row hash record must be 32 bytes")
@@ -239,10 +287,15 @@ def _decode(records: list[bytes]) -> Checkpoint:
     elif tag == DETECTOR_WINDOWED:
         d_r = _Reader(records[5])
         window, ring_first, ring_len = d_r.u64(), d_r.u64(), d_r.u64()
-        ring = tuple(d_r.offsets() for _ in range(ring_len))
-        entries = tuple(
-            (d_r.u64(), d_r.u64(), d_r.s64(), d_r.u64(), d_r.u64())
-            for _ in range(d_r.u64()))
+        if version == 1:
+            ring = tuple(d_r.offsets() for _ in range(ring_len))
+            for _ in range(d_r.u64()):  # the table, rebuilt instead
+                d_r.take(40)
+            lags = None
+        else:
+            flat = iter(d_r.packed(ring_len * (n + 1)))
+            ring = tuple(zip(*[flat] * (n + 1)))
+            lags = tuple(d_r.packed(ring_len))
         cand_flag = d_r.u64()
         if cand_flag == 0:
             candidate = None
@@ -253,7 +306,7 @@ def _decode(records: list[bytes]) -> Checkpoint:
                 f"detector candidate flag must be 0 or 1, got {cand_flag}")
         d_r.done()
         detector = DetectorSnapshot(window=window, ring_first=ring_first,
-                                    ring=ring, entries=entries,
+                                    ring=ring, lags=lags,
                                     candidate=candidate)
     else:
         raise CorruptCheckpointError(f"unknown detector tag {tag!r}")
@@ -261,7 +314,7 @@ def _decode(records: list[bytes]) -> Checkpoint:
                       rows_emitted=rows_emitted, live_rows=live,
                       col_weights=weights, row_hash=row_hash,
                       log_offset=log_offset, detector_tag=tag,
-                      detector=detector)
+                      detector=detector, format_version=version)
 
 
 # -- file I/O ----------------------------------------------------------------
@@ -325,10 +378,10 @@ def load_checkpoint(source) -> Checkpoint:
     magic, version = _HDR.unpack_from(data, 0)
     if magic != MAGIC:
         raise CorruptCheckpointError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise VersionMismatchError(
             f"checkpoint format version {version} is not supported "
-            f"(this build reads version {FORMAT_VERSION})")
+            f"(this build reads versions 1 and {FORMAT_VERSION})")
     body, checksum = data[:-8], data[-8:]
     if hashlib.sha256(body).digest()[:8] != checksum:
         raise CorruptCheckpointError("checksum mismatch")
@@ -344,7 +397,7 @@ def load_checkpoint(source) -> Checkpoint:
             raise CorruptCheckpointError("record payload truncated")
         records.append(body[pos:pos + length])
         pos += length
-    return _decode(records)
+    return _decode(records, version)
 
 
 # -- the row log -------------------------------------------------------------

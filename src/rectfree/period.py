@@ -30,8 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import (BudgetExhaustedError, InvalidParameterError,
-                     InvariantViolationError)
+from .errors import (BudgetExhaustedError, CorruptCheckpointError,
+                     InvalidParameterError, InvariantViolationError)
 from .generator import GeneratorState, new_generator
 
 #: Default number of recent states kept for recurrence detection.  A
@@ -41,7 +41,6 @@ DEFAULT_WINDOW = 1 << 17
 
 _MOD = (1 << 61) - 1
 _B = 0x2545F4914F6CDD1D % _MOD
-_BINV = pow(_B, _MOD - 2, _MOD)
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,29 @@ def minimal_fold_multiplier(result: PeriodResult) -> int:
 class DetectorSnapshot:
     """Plain-data image of the detector, for checkpointing.
 
+    ``ring`` holds the diagonal encodings (one-columns minus the row
+    index) of the rows from ``ring_first`` through the last row
+    generated, and ``lags[t]`` is k - l(k) for the state k after row
+    ``ring_first + t``.  The fingerprint table is not stored: restoring
+    replays the ring, which reaches back ``window + sigma + 1`` rows so
+    that every state inside the table's horizon gets its full live
+    window.  ``lags`` is None for a snapshot read from a format-1
+    checkpoint, which stored the table instead; such a snapshot resumes
+    with an empty table, which can only delay detection.
+
     ``candidate`` preserves an in-flight verification — the ``(k0, p)``
     recurrence being checked when the budget ran out — so that resuming
-    continues the bit-exact comparison instead of discarding it.  Without
-    this, a run checkpointed in slices shorter than the ``2p + sigma``
-    verification span would restart verification every slice and never
-    confirm a period.
+    continues the bit-exact comparison instead of discarding it.  The
+    ring then reaches back to row k0 as well.  Without this, a run
+    checkpointed in slices shorter than the ``2p + sigma`` verification
+    span would restart verification every slice and never confirm a
+    period.
     """
 
     window: int
     ring_first: int
     ring: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[int, int, int, int, int], ...]  # poly,d,koff,k,l
+    lags: tuple[int, ...] | None
     candidate: tuple[int, int] | None = None  # (k0, p) mid-verification
 
 
@@ -148,101 +158,162 @@ class ResumeState:
 
 
 class _Ring:
-    """Rows' diagonal encodings for the last ~maxlen rows, O(1) access."""
+    """Encodings and state lags of the last ~maxlen rows, O(1) access.
 
-    __slots__ = ("maxlen", "first", "buf")
+    Rows at or after ``pin`` are never trimmed: they hold the
+    verification in flight.
+    """
 
-    def __init__(self, maxlen: int, first: int = 1, buf=None):
+    __slots__ = ("maxlen", "first", "buf", "lags", "pin")
+
+    def __init__(self, maxlen: int, first: int = 1, buf=(), lags=()):
         self.maxlen = maxlen
         self.first = first  # row index of buf[0]
-        self.buf: list[tuple[int, ...]] = list(buf or [])
+        self.buf: list[tuple[int, ...]] = list(buf)
+        self.lags: list[int] = list(lags)
+        self.pin: int | None = None
 
-    def append(self, enc: tuple[int, ...]) -> None:
+    def append(self, enc: tuple[int, ...], lag: int) -> None:
         buf = self.buf
         buf.append(enc)
+        self.lags.append(lag)
         if len(buf) > self.maxlen + (self.maxlen >> 1):
             cut = len(buf) - self.maxlen
+            if self.pin is not None:
+                cut = min(cut, self.pin - self.first)
             del buf[:cut]
+            del self.lags[:cut]
             self.first += cut
-
-    def get(self, row: int) -> tuple[int, ...]:
-        return self.buf[row - self.first]
 
     def covers(self, row: int) -> bool:
         return self.first <= row < self.first + len(self.buf)
 
 
 class _Detector:
-    """Rolling window-state fingerprints plus the recurrence table."""
+    """Rolling window-state fingerprints plus the recurrence table.
 
-    __slots__ = ("window", "table", "ages", "ring", "deq", "poly", "bpow")
+    Every state is recorded, so the table is a pure function of the
+    rows in the ring: :meth:`restore` rebuilds it by replaying them.
+    """
 
-    def __init__(self, window: int):
+    __slots__ = ("window", "sigma", "table", "ages", "ring", "deq", "poly",
+                 "pows")
+
+    def __init__(self, window: int, sigma: int):
         self.window = window
+        self.sigma = sigma
         # fingerprint key -> (state row k, frontier l at k)
         self.table: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.ages: deque[tuple[int, tuple[int, int, int]]] = deque()
-        self.ring = _Ring(window + 1)
-        # live-window mirror: (last one-column, hash term) per live row
+        # sigma extra rows give the oldest state in the table its window.
+        self.ring = _Ring(window + 1 + sigma)
+        # live-window mirror: (last one-column, hash term) per live row;
+        # poly = sum of term * B^(rows after it), pows[d] = B^d.
         self.deq: deque[tuple[int, int]] = deque()
         self.poly = 0
-        self.bpow = 0  # B^(len(deq)-1), 0 while empty
+        self.pows = [1]
 
-    def push_row(self, ones_last: int, enc: tuple[int, ...]) -> None:
+    def push_row(self, ones_last: int, enc: tuple[int, ...],
+                 frontier: int) -> None:
+        """Add a row to the live window, then evict rows left of
+        ``frontier``, the frontier of the state after the row."""
         h = hash(enc) % _MOD
-        self.ring.append(enc)
-        self.poly = (self.poly * _B + h) % _MOD
-        self.bpow = (self.bpow * _B) % _MOD if self.deq else 1
-        self.deq.append((ones_last, h))
-
-    def evict_to(self, frontier: int) -> None:
         deq = self.deq
+        pows = self.pows
+        poly = (self.poly * _B + h) % _MOD
+        deq.append((ones_last, h))
+        if len(deq) > len(pows):
+            pows.append(pows[-1] * _B % _MOD)
         while deq and deq[0][0] < frontier:
-            _, h = deq.popleft()
-            self.poly = (self.poly - h * self.bpow) % _MOD
-            self.bpow = (self.bpow * _BINV) % _MOD if deq else 0
+            poly = (poly - deq.popleft()[1] * pows[len(deq)]) % _MOD
+        self.poly = poly
 
-    def key(self, k: int, l: int) -> tuple[int, int, int]:
-        return (self.poly, len(self.deq), k - l)
-
-    def record(self, key: tuple[int, int, int], k: int, l: int) -> None:
-        self.table[key] = (k, l)
+    def record(self, k: int, l: int) -> tuple[int, int] | None:
+        """Enter state (k, l); return the (k0, l0) its key held before."""
+        key = (self.poly, len(self.deq), k - l)
+        table = self.table
+        hit = table.get(key)
+        table[key] = (k, l)
         ages = self.ages
         ages.append((k, key))
         horizon = k - self.window
-        table = self.table
-        while ages and ages[0][0] <= horizon:
+        while ages[0][0] <= horizon:
             old_k, old_key = ages.popleft()
-            hit = table.get(old_key)
-            if hit is not None and hit[0] == old_k:
+            old = table.get(old_key)
+            if old is not None and old[0] == old_k:
                 del table[old_key]
+        return hit
 
     def snapshot(self, candidate: tuple[int, int] | None = None
                  ) -> DetectorSnapshot:
+        ring = self.ring
+        start = ring.first + len(ring.buf) - 1 - self.window - self.sigma
+        if candidate is not None:
+            start = min(start, candidate[0])
+        cut = max(0, start - ring.first)
         return DetectorSnapshot(
             window=self.window,
-            ring_first=self.ring.first,
-            ring=tuple(self.ring.buf),
-            entries=tuple((key[0], key[1], key[2], k, l)
-                          for key, (k, l) in self.table.items()),
+            ring_first=ring.first + cut,
+            ring=tuple(ring.buf[cut:]),
+            lags=tuple(ring.lags[cut:]),
             candidate=candidate,
         )
 
     @classmethod
     def restore(cls, snap: DetectorSnapshot,
                 gen: GeneratorState) -> "_Detector":
-        det = cls(snap.window)
-        det.ring = _Ring(snap.window + 1, snap.ring_first, snap.ring)
-        for poly, d, koff, k, l in sorted(snap.entries, key=lambda e: e[3]):
-            det.table[(poly, d, koff)] = (k, l)
-            det.ages.append((k, (poly, d, koff)))
-        # Rebuild the live-window hash from the generator's live rows.
+        """Rebuild the detector; raises :class:`CorruptCheckpointError`
+        when the snapshot disagrees with ``gen``."""
+        if snap.window < 4:
+            raise CorruptCheckpointError(
+                f"detector window {snap.window} is below 4")
+        det = cls(snap.window, gen.params.sigma)
+        end = gen.next_k
+        lo = end  # first replayed row
+        if snap.lags is None:
+            det.ring.first = end
+        else:
+            lo = det._replay(snap, end)
+        # The replayed window must be the generator's, from row lo on.
+        if list(det.deq) != [(ones[-1], hash(tuple(j - i for j in ones))
+                              % _MOD) for i, ones in gen._live if i >= lo]:
+            raise CorruptCheckpointError(
+                "detector ring disagrees with the generator's live rows")
+        det.deq.clear()
+        det.poly = 0
         for i, ones in gen._live:
-            h = hash(tuple(j - i for j in ones)) % _MOD
-            det.poly = (det.poly * _B + h) % _MOD
-            det.bpow = (det.bpow * _B) % _MOD if det.deq else 1
-            det.deq.append((ones[-1], h))
+            det.push_row(ones[-1], tuple(j - i for j in ones), 0)
         return det
+
+    def _replay(self, snap: DetectorSnapshot, end: int) -> int:
+        """Rebuild ring, window and table from ``snap``; returns the
+        first replayed row."""
+        first, ring, lags = snap.ring_first, snap.ring, snap.lags
+        if len(lags) != len(ring) or first + len(ring) != end:
+            raise CorruptCheckpointError(
+                f"detector ring of {len(ring)} rows from row {first} does "
+                f"not end at the generator's row {end - 1}")
+        if snap.candidate is not None:
+            k0, p = snap.candidate
+            if not (first <= k0 and 1 <= p <= self.window and k0 + p <= end):
+                raise CorruptCheckpointError(
+                    f"candidate ({k0}, {p}) lies outside the detector ring")
+        self.ring = _Ring(self.ring.maxlen, first, ring, lags)
+        sigma = self.sigma
+        lo = max(first, end - 1 - self.window - sigma)
+        # A state's live window lies within sigma rows before it, so it is
+        # complete once sigma rows have been replayed (or from row 1).
+        rec = max(end - self.window + 1, lo + sigma if lo > 1 else 2)
+        push_row = self.push_row
+        record = self.record
+        for i, enc, lag in zip(range(lo, end), ring[lo - first:],
+                               lags[lo - first:]):
+            k = i + 1
+            l = k - lag
+            push_row(i + enc[-1], enc, l)
+            if k >= rec:
+                record(k, l)
+        return lo
 
 
 def _proper_divisors(p: int) -> list[int]:
@@ -296,29 +367,14 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         raise InvalidParameterError(f"window must be >= 4, got {window}")
     if resume is None:
         gen = new_generator(n)
-        det = _Detector(window)
+        det = _Detector(window, gen.params.sigma)
     else:
         gen = resume.generator.clone()
         if gen.params is None or gen.params.n != n:
             raise InvalidParameterError("resume state is for a different order")
         det = _Detector.restore(resume.detector, gen)
     sigma = gen.params.sigma
-
-    def advance_checked() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        if gen.rows_emitted >= max_rows:
-            meta = None if candidate is None else (candidate[0], candidate[1])
-            raise BudgetExhaustedError(
-                f"no period confirmed within {max_rows} rows",
-                resume=ResumeState(generator=gen,
-                                   detector=det.snapshot(candidate=meta)),
-                rows_examined=gen.rows_emitted)
-        k, ones = gen._advance()
-        if on_row is not None:
-            on_row(k, ones)
-        enc = tuple(j - k for j in ones)
-        det.push_row(ones[-1], enc)
-        det.evict_to(gen.frontier_l)
-        return k, ones, enc
+    ring = det.ring
 
     def finish(pp: int, p: int, b: int, lm: int, case1: bool) -> PeriodResult:
         result = PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
@@ -331,18 +387,31 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                 log_sink(rk, rones)
         return result
 
-    candidate = None  # (k0, p, encs, verify_until)
+    candidate = None  # (k0, p) in verification; the ring is pinned at k0
     if resume is not None and resume.detector.candidate is not None:
-        # Rebuild an interrupted verification from the encoding ring; the
-        # collected prefix is exactly the ring slice k0 .. last row.
-        k0, p = resume.detector.candidate
-        if p >= 1 and gen.next_k > k0 and det.ring.covers(k0):
-            encs = [det.ring.get(i) for i in range(k0, gen.next_k)]
-            candidate = (k0, p, encs, k0 + 2 * p + sigma)
+        # Continue an interrupted verification; its rows k0 .. last row
+        # are in the ring (not in a format-1 ring, which is dropped).
+        candidate = resume.detector.candidate
+        if ring.covers(candidate[0]):
+            ring.pin = candidate[0]
+        else:
+            candidate = None
     while True:
-        k, ones, enc = advance_checked()
+        if gen.rows_emitted >= max_rows:
+            raise BudgetExhaustedError(
+                f"no period confirmed within {max_rows} rows",
+                resume=ResumeState(generator=gen,
+                                   detector=det.snapshot(candidate)),
+                rows_examined=gen.rows_emitted)
+        k, ones = gen._advance()
+        if on_row is not None:
+            on_row(k, ones)
         state_k = gen.next_k
         frontier = gen.frontier_l
+        enc = tuple(j - k for j in ones)
+        ring.append(enc, state_k - frontier)
+        det.push_row(ones[-1], enc, frontier)
+        hit = det.record(state_k, frontier)
 
         # Restart shortcut: the frontier column has no ones at all.
         if frontier not in gen._colw:
@@ -357,37 +426,34 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             return finish(0, p, b, lm, True)
 
         if candidate is not None:
-            k0, p, encs, until = candidate
-            encs.append(enc)
-            if state_k < until:
+            k0, p = candidate
+            if state_k < k0 + 2 * p + sigma:
                 continue
-            # encs now covers rows k0 .. k0 + 2p + sigma - 1.
-            span = p + sigma
-            if all(encs[i] == encs[i + p] for i in range(span)):
-                # encs[t] is row k0+t, so indices 1..p are the window
-                # (k0, k0+p] that the divisor test inspects.
+            # encs[t] is row k0+t, through row k0 + 2p + sigma - 1.
+            encs = ring.buf[k0 - ring.first:]
+            candidate = None
+            ring.pin = None
+            if all(encs[i] == encs[i + p] for i in range(p + sigma)):
+                # Indices 1..p are the window (k0, k0+p] that the divisor
+                # test inspects.
                 p = _minimize_p(encs, p)
                 b, lm = _measure(encs, 1, p + 1)
                 if k0 == 1:
                     return finish(0, p, b, lm, False)
                 pp = _minimize_pp(n, k0, p)
                 return finish(pp, p, b, lm, False)
-            candidate = None  # fingerprint collision; keep scanning
-            continue
+            continue  # fingerprint collision; keep scanning
 
-        key = det.key(state_k, frontier)
-        hit = det.table.get(key)
-        det.record(key, state_k, frontier)
         if hit is None:
             continue
         k0, l0 = hit
         p = state_k - k0
         if frontier != l0 + p:
             continue  # no diagonal alignment: cannot be a period
-        if not det.ring.covers(k0):
+        if not ring.covers(k0):
             continue  # too old to verify; a later recurrence will do
-        encs = [det.ring.get(i) for i in range(k0, state_k)]
-        candidate = (k0, p, encs, k0 + 2 * p + sigma)
+        candidate = (k0, p)
+        ring.pin = k0
 
 
 def _minimize_pp(n: int, k0: int, p: int) -> int:

@@ -2,8 +2,10 @@
 import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,39 @@ from rectfree import (
     new_generator,
     save_checkpoint,
 )
+from rectfree.period import _Detector
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def save_resume(resume, path):
+    """Save a detection run's resume state as a period checkpoint."""
+    save_checkpoint(Checkpoint.capture(
+        resume.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
+        detector=resume.detector), str(path))
+
+
+def period_checkpoint(tmp_path, n, rows, window):
+    """Save the resume state of a detection run cut after ``rows`` rows."""
+    with pytest.raises(BudgetExhaustedError) as info:
+        detect_period(n, rows, window=window)
+    path = tmp_path / "det.ckpt"
+    save_resume(info.value.resume, path)
+    return path
+
+
+def rewrite_records(path, edit):
+    """Apply ``edit`` to a checkpoint's record list; recompute the checksum."""
+    data = path.read_bytes()
+    records, pos = [], 8
+    while pos < len(data) - 8:
+        (length,) = struct.unpack_from("<Q", data, pos)
+        records.append(bytearray(data[pos + 8:pos + 8 + length]))
+        pos += 8 + length
+    edit(records)
+    body = data[:8] + b"".join(struct.pack("<Q", len(r)) + bytes(r)
+                               for r in records)
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
 
 
 @pytest.fixture()
@@ -146,6 +181,71 @@ class TestDetectorCheckpoint:
         result = detect_period(3, 200, resume=loaded.restore_resume())
         assert (result.pp, result.p) == (48, 16)
 
+    @pytest.mark.parametrize("n, window, stops", [
+        (3, 16, range(5, 140, 9)),
+        (3, 64, (30, 70, 110, 139)),
+        (4, 16, (3, 9, 20)),
+        (5, 16, (50, 300, 301, 1200)),
+        (5, 512, (700, 2000)),
+        (6, 24, (100, 470, 2500)),
+        (6, 1 << 17, (1500, 135_000)),
+        (16, 64, (120, 250)),  # offsets and lags need two bytes
+    ])
+    def test_restored_table_equals_uninterrupted(self, tmp_path, n, window,
+                                                 stops):
+        """The table rebuilt at load is, entry for entry, the table of a
+        detector that saw every row without a break (n = 16 ends in the
+        restart shortcut at row 273)."""
+        gen = new_generator(n)
+        ref = _Detector(window, gen.params.sigma)
+        resume = None
+        path = tmp_path / "slice.ckpt"
+        for stop in stops:
+            with pytest.raises(BudgetExhaustedError) as info:
+                detect_period(n, stop, window=window, resume=resume)
+            save_resume(info.value.resume, path)
+            resume = load_checkpoint(str(path)).restore_resume()
+            while gen.rows_emitted < stop:
+                k, ones = gen._advance()
+                ref.push_row(ones[-1], tuple(j - k for j in ones),
+                             gen.frontier_l)
+                ref.record(gen.next_k, gen.frontier_l)
+            det = _Detector.restore(resume.detector, resume.generator)
+            assert det.table == ref.table, stop
+            assert det.ages == ref.ages, stop
+            assert (det.poly, det.deq) == (ref.poly, ref.deq), stop
+
+    def test_ring_is_packed_and_table_not_stored(self, tmp_path):
+        # Order 6: offsets and lags fit in one signed byte, so a ring row
+        # costs n + 2 bytes; live rows and headers take under 4 KB.
+        path = period_checkpoint(tmp_path, 6, 3000, 1 << 17)
+        loaded = load_checkpoint(str(path))
+        assert loaded.format_version == 2
+        assert len(loaded.detector.ring) == len(loaded.detector.lags) == 3000
+        assert path.stat().st_size < 3000 * (7 + 1) + 4096
+
+    def test_version1_file_resumes(self, tmp_path):
+        # Written by format version 1 (order 3, window 16, 100 rows, a
+        # verification in flight).  It holds no lags, so it resumes with
+        # an empty table, which can only delay detection.
+        loaded = load_checkpoint(str(FIXTURES / "period-n3-w16-v1.ckpt"))
+        assert loaded.format_version == 1
+        assert loaded.detector.lags is None
+        assert loaded.detector.candidate == (55, 16)
+        result = detect_period(3, 1000, window=16,
+                               resume=loaded.restore_resume())
+        assert (result.pp, result.p, result.rows_examined) == (48, 16, 187)
+        # A budget exhausted after the resume is saved as version 2.
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 120, window=16, resume=loaded.restore_resume())
+        path = tmp_path / "again.ckpt"
+        save_resume(info.value.resume, path)
+        assert path.read_bytes()[6:8] == (2).to_bytes(2, "little")
+        result = detect_period(
+            3, 1000, window=16,
+            resume=load_checkpoint(str(path)).restore_resume())
+        assert (result.pp, result.p) == (48, 16)
+
     def test_restore_resume_needs_detector(self, saved):
         checkpoint, _, _ = saved
         assert checkpoint.detector is None
@@ -197,6 +297,18 @@ class TestCorruptionDefense:
         bad.write_bytes(path.read_bytes() + b"zz")
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(bad))
+
+    def test_ring_blob_disagreeing_with_row_count_rejected(self, tmp_path):
+        path = period_checkpoint(tmp_path, 3, 100, 16)
+
+        def drop_a_row(records):
+            detector = records[5]
+            (rows,) = struct.unpack_from("<Q", detector, 16)
+            struct.pack_into("<Q", detector, 16, rows - 1)
+
+        rewrite_records(path, drop_a_row)
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(str(path))
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

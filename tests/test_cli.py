@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, resume."""
+import dataclasses
+
 import pytest
 
-from rectfree import IncidenceMatrix, InvariantViolationError
+from rectfree import (IncidenceMatrix, InvariantViolationError,
+                      load_checkpoint, save_checkpoint)
 from rectfree import cli
 from rectfree.cli import (
     EXIT_BUDGET,
@@ -168,6 +171,36 @@ class TestPeriod:
         out = capsys.readouterr().out
         assert out.startswith("n=3 pp=48 p=16\n")
         assert "rows examined: 140" in out
+
+    def test_sliced_run_prints_what_an_unsliced_run_prints(self, tmp_path,
+                                                          capsys):
+        # Ten-row slices cut every verification (2p + sigma = 86 rows)
+        # after the 16-row window has moved past its first row.
+        base = ["period", "-n", "3", "--window", "16", "--max-rows", "5000",
+                "--progress-every", "0"]
+        assert main(base) == EXIT_OK
+        whole = capsys.readouterr().out
+        ckpt = tmp_path / "p3.ckpt"
+        assert main(base + ["--checkpoint", str(ckpt),
+                            "--checkpoint-every-rows", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == whole
+        assert "pp=48 p=16" in whole
+
+    def test_ring_disagreeing_with_the_generator_is_io_error(self, tmp_path,
+                                                             capsys):
+        ckpt = tmp_path / "p3.ckpt"
+        base = ["period", "-n", "3", "--checkpoint", str(ckpt),
+                "--progress-every", "0"]
+        assert main(base + ["--max-rows", "60"]) == EXIT_BUDGET
+        good = load_checkpoint(str(ckpt))
+        ring = good.detector.ring
+        bad = ring[:-1] + (tuple(o + 1 for o in ring[-1]),)
+        save_checkpoint(dataclasses.replace(
+            good, detector=dataclasses.replace(good.detector, ring=bad)),
+            str(ckpt))
+        capsys.readouterr()
+        assert main(base + ["--max-rows", "1000"]) == EXIT_IO
+        assert "live rows" in capsys.readouterr().err
 
     def test_generator_checkpoint_cannot_seed_period(self, tmp_path, capsys):
         ckpt = tmp_path / "gen.ckpt"

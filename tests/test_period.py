@@ -5,6 +5,7 @@ from rectfree import (BudgetExhaustedError, InvalidParameterError,
                       PeriodResult, defining_matrix, detect_period,
                       generate_prefix, minimal_fold_multiplier,
                       new_generator)
+from rectfree.period import DEFAULT_WINDOW
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
@@ -75,6 +76,24 @@ class TestBudgetAndResume:
         with pytest.raises(BudgetExhaustedError) as info2:
             detect_period(3, 80, resume=info.value.resume)
         assert info2.value.rows_examined == 80
+
+    @pytest.mark.parametrize("window", [16, 20, 24, 32, 64, DEFAULT_WINDOW])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sliced_runs_equal_unsliced(self, n, window):
+        # Slices shorter than the 2p + sigma verification span resume in
+        # the middle of a verification, often after the ring has moved
+        # past the candidate's first row.
+        whole = detect_period(n, 1000, window=window)
+        for step in range(1, 120):
+            resume, sliced = None, None
+            for budget in range(step, 1000 + step, step):
+                try:
+                    sliced = detect_period(n, min(budget, 1000),
+                                           window=window, resume=resume)
+                    break
+                except BudgetExhaustedError as exc:
+                    resume = exc.resume
+            assert sliced == whole, step
 
     def test_resume_rejects_other_order(self):
         with pytest.raises(BudgetExhaustedError) as info:
