@@ -45,7 +45,7 @@ from .errors import (BudgetExhaustedError, CheckpointError,
 from .folding import FoldParams, compact_plane, fold, regenerate_rows
 from .generator import compute_galfs, format_row_line, new_generator
 from .matrix import parse_matrix_text
-from .period import detect_period, minimal_fold_multiplier
+from .period import DEFAULT_WINDOW, detect_period, minimal_fold_multiplier
 from .verify import (Configuration, automorphism_count, is_projective_plane,
                      isomorphic, levi_dot, reference_plane,
                      verify_configuration)
@@ -81,6 +81,20 @@ def _load_for(path: str | None, n: int) -> Checkpoint | None:
         raise InvalidParameterError(
             f"checkpoint {path} is for order {cp.n}, not {n}")
     return cp
+
+
+def _check_cadence(args) -> None:
+    """Refuse checkpoint cadences that never advance, before any file is
+    read: a zero-row cadence would make ``period`` rewrite its checkpoint
+    forever without generating a row."""
+    if args.checkpoint_every_rows < 1:
+        raise InvalidParameterError(
+            f"--checkpoint-every-rows must be >= 1, got "
+            f"{args.checkpoint_every_rows}")
+    if not args.checkpoint_every_seconds > 0:
+        raise InvalidParameterError(
+            f"--checkpoint-every-seconds must be > 0, got "
+            f"{args.checkpoint_every_seconds}")
 
 
 class _Progress:
@@ -128,6 +142,7 @@ def cmd_gen(args) -> int:
     if args.rows < 1:
         raise InvalidParameterError(
             f"--rows must be a positive total, got {args.rows}")
+    _check_cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "gen", args.n)
     cp = _load_for(ckpt_path, args.n)
     if cp is None:
@@ -196,14 +211,22 @@ def _report_period(result) -> list[str]:
 
 
 def cmd_period(args) -> int:
+    _check_cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "period", args.n)
     cp = _load_for(ckpt_path, args.n)
     resume = None
+    window = DEFAULT_WINDOW if args.window is None else args.window
     if cp is not None:
         if cp.detector is None:
             raise InvalidParameterError(
                 f"checkpoint {ckpt_path} has no detector state; it cannot "
                 f"seed period detection")
+        # A resumed detector keeps the window it was saved with.
+        if args.window is not None and args.window != cp.detector.window:
+            raise InvalidParameterError(
+                f"--window {args.window} differs from the window "
+                f"{cp.detector.window} of checkpoint {ckpt_path}")
+        window = cp.detector.window
         resume = cp.restore_resume()
     progress = _Progress(args.progress_every, f"period n={args.n}")
     state = {"rows": cp.rows_emitted if cp else 0}
@@ -217,7 +240,7 @@ def cmd_period(args) -> int:
     while result is None:
         budget = min(args.max_rows, state["rows"] + chunk)
         try:
-            result = detect_period(args.n, budget, window=args.window,
+            result = detect_period(args.n, budget, window=window,
                                    resume=resume, on_row=on_row)
         except BudgetExhaustedError as exc:
             resume = exc.resume
@@ -248,7 +271,8 @@ def _emit_matrix(mat, fmt: str, out: str | None) -> None:
 
 
 def cmd_fold(args) -> int:
-    result = detect_period(args.n, args.max_rows, window=args.window)
+    window = DEFAULT_WINDOW if args.window is None else args.window
+    result = detect_period(args.n, args.max_rows, window=window)
     if args.compact:
         rows = (iter_row_log(args.log) if args.log
                 else regenerate_rows(args.n, 1, result.p))
@@ -337,8 +361,9 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-rows", type=int, default=_DEFAULT_MAX_ROWS,
                    metavar="M", help="detection row budget "
                    f"(default {_DEFAULT_MAX_ROWS})")
-    p.add_argument("--window", type=int, default=2 ** 17, metavar="W",
-                   help="recurrence window (default 2^17 rows)")
+    p.add_argument("--window", type=int, metavar="W",
+                   help="recurrence window (default 2^17 rows; a resumed "
+                   "period checkpoint keeps its own)")
 
 
 def _add_progress(p: argparse.ArgumentParser) -> None:

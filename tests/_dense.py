@@ -4,7 +4,10 @@ Nothing here shares code or data structures with the package: the greedy
 scan keeps the whole matrix as explicit per-row column sets, the
 rectangle check walks every earlier row, the galf listing is the
 quadruple loop straight from the definition, and automorphisms and
-isomorphisms are found by trying every point permutation.
+isomorphisms are found by trying every point permutation.  The
+canonical search at the end is the package's earlier one, kept verbatim:
+it refines every vertex in every round and visits every leaf, counting
+|Aut| as the number of leaves that reach the smallest certificate.
 """
 from itertools import combinations, permutations
 
@@ -91,3 +94,62 @@ def isomorphic_oracle(a_lines, b_lines) -> bool:
             == {p for line in b_lines for p in line}
             and next(_carrying_permutations(a_lines, b_lines), None)
             is not None)
+
+
+def _refine(adj: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+    """Stable 1-dimensional color refinement with deterministic ids.
+
+    New color ids are ranks of the sorted (old color, sorted neighbor
+    colors) signatures, so the result depends only on the colored graph,
+    never on hashing or platform.
+    """
+    n_classes = len(set(colors))
+    while True:
+        sigs = [(colors[u], tuple(sorted(colors[w] for w in adj[u])))
+                for u in range(len(adj))]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == n_classes:
+            return colors
+        n_classes = len(rank)
+
+
+def _cells_of(colors: list[int]) -> dict[int, list[int]]:
+    cells: dict[int, list[int]] = {}
+    for u, col in enumerate(colors):
+        cells.setdefault(col, []).append(u)
+    return cells
+
+
+def _canon_search(adj, colors) -> tuple[bytes, int]:
+    """Smallest leaf certificate below this node and how many leaves
+    reach it; a certificate is the full adjacency relabeled by colors."""
+    colors = _refine(adj, colors)
+    cells = _cells_of(colors)
+    target = None
+    for col in sorted(cells):
+        cell = cells[col]
+        if len(cell) > 1 and (target is None or len(cell) < len(target)):
+            target = cell
+    if target is None:
+        inv = [0] * len(adj)
+        for u, col in enumerate(colors):
+            inv[col] = u
+        cert = repr([sorted(colors[w] for w in adj[inv[i]])
+                     for i in range(len(adj))]).encode()
+        return cert, 1
+    # The count of best leaves is |Aut| only because the tree is explored
+    # in full, with no pruning, and the target cell and the fresh color
+    # are chosen invariantly: Aut then acts freely on the leaves, and the
+    # best ones form one orbit.
+    fresh = len(adj)  # ids are < len(adj) after _refine's reranking
+    best, count = None, 0
+    for u in target:
+        child = list(colors)
+        child[u] = fresh
+        cert, n = _canon_search(adj, child)
+        if best is None or cert < best:
+            best, count = cert, n
+        elif cert == best:
+            count += n
+    return best, count

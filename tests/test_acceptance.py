@@ -92,6 +92,15 @@ class TestPlaneOrders:
         assert isomorphic(config, reference_plane(16)) is True
         assert time.perf_counter() - started < 60.0
 
+    def test_reference_plane_groups_within_ten_seconds(self):
+        # |PGammaL(3, q)|: 168, 5 616, 120 960 (with the Frobenius map of
+        # GF(4)) and 372 000.  The search counts them by orbit-stabilizer;
+        # a search that counts leaves takes minutes on PG(2, 4) alone.
+        started = time.perf_counter()
+        for q, order in ((2, 168), (3, 5_616), (4, 120_960), (5, 372_000)):
+            assert automorphism_count(reference_plane(q)) == order
+        assert time.perf_counter() - started < 10.0
+
 
 class TestOrderThree:
     def test_period_fold_and_rigidity(self):

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: outputs, exit codes, resume."""
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +228,87 @@ class TestPeriod:
         assert "cannot seed" in capsys.readouterr().err
         assert ckpt.read_bytes() == before
         assert not out.exists()
+
+    def test_resume_keeps_the_checkpoint_window(self, tmp_path, capsys):
+        ckpt = tmp_path / "w.ckpt"
+        base = ["period", "-n", "3", "--checkpoint", str(ckpt),
+                "--progress-every", "0"]
+        assert main(base + ["--window", "16", "--max-rows", "60"]) \
+            == EXIT_BUDGET
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        # A fresh run with window 4 can never see p = 16 ...
+        assert main(["period", "-n", "3", "--window", "4", "--max-rows",
+                     "1000", "--progress-every", "0"]) == EXIT_BUDGET
+        capsys.readouterr()
+        # ... so a resume may not claim window 4 for a window-16 state.
+        assert main(base + ["--window", "4", "--max-rows", "1000"]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--window 4" in err and "window 16" in err
+        assert ckpt.read_bytes() == before
+        # Without --window, or with the same one, the resume uses 16.
+        assert main(base + ["--window", "16", "--max-rows", "100"]) \
+            == EXIT_BUDGET
+        capsys.readouterr()
+        assert main(base + ["--max-rows", "1000"]) == EXIT_OK
+        assert capsys.readouterr().out == PERIOD3_REPORT
+
+    def test_window_help_names_the_default(self, capsys):
+        assert main(["period", "--help"]) == EXIT_OK
+        assert "default 2^17" in capsys.readouterr().out
+
+
+def run_cli(argv, timeout=30):
+    env = {k: v for k, v in os.environ.items()
+           if k != "RECTFREE_CHECKPOINT_DIR"}
+    return subprocess.run([sys.executable, "-m", "rectfree"] + argv,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+
+
+CADENCE_REFUSALS = [("--checkpoint-every-rows", "0"),
+                    ("--checkpoint-every-rows", "-3"),
+                    ("--checkpoint-every-seconds", "0"),
+                    ("--checkpoint-every-seconds", "nan")]
+
+
+class TestCadenceFlags:
+    """A checkpoint cadence that never advances is refused before any
+    checkpoint is read, and the file is left byte-for-byte untouched."""
+
+    @staticmethod
+    def command(kind, tmp_path, rows):
+        if kind == "gen":
+            return ["gen", "-n", "3", "--rows", str(rows), "--out",
+                    str(tmp_path / "w.rows"), "--checkpoint",
+                    str(tmp_path / "w.ckpt"), "--progress-every", "0"]
+        return ["period", "-n", "3", "--max-rows", str(rows),
+                "--checkpoint", str(tmp_path / "w.ckpt"),
+                "--progress-every", "0"]
+
+    @pytest.mark.parametrize("kind", ["gen", "period"])
+    @pytest.mark.parametrize("flag,value", CADENCE_REFUSALS)
+    def test_refused_on_resume(self, tmp_path, kind, flag, value):
+        first = run_cli(self.command(kind, tmp_path, 20)
+                        + ["--checkpoint-every-rows", "10"])
+        assert first.returncode in (EXIT_OK, EXIT_BUDGET), first.stderr
+        ckpt = tmp_path / "w.ckpt"
+        before = ckpt.read_bytes()
+        again = run_cli(self.command(kind, tmp_path, 1000) + [flag, value])
+        assert again.returncode == EXIT_USAGE
+        assert flag in again.stderr
+        assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("kind", ["gen", "period"])
+    @pytest.mark.parametrize("flag,value", CADENCE_REFUSALS)
+    def test_refused_on_a_fresh_run(self, tmp_path, capsys, kind, flag,
+                                    value):
+        assert main(self.command(kind, tmp_path, 20) + [flag, value]) \
+            == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "w.ckpt").exists()
+        assert not (tmp_path / "w.rows").exists()
 
 
 class TestFold:

@@ -1,7 +1,9 @@
 """Configuration axioms, plane recognition, isomorphism, automorphisms."""
+import hashlib
 import random
 from itertools import combinations
 
+import _dense
 import pytest
 from _dense import automorphism_count_oracle, isomorphic_oracle
 
@@ -28,6 +30,7 @@ from rectfree import (
     regenerate_rows,
     verify_configuration,
 )
+from rectfree.verify import _canon_search, _levi_adjacency, _refine
 
 TRIANGLE = [(1, 2), (1, 3), (2, 3)]
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
@@ -81,6 +84,16 @@ def e3_32():
     return verify_configuration(matrix, 3)
 
 
+@pytest.fixture(scope="module")
+def fold_160():
+    """The 160_4 fold that ``rectfree fold -n 3 -m 10`` prints."""
+    period = detect_period(3, 1000)
+    params = FoldParams.for_period(period, m=10)
+    matrix = fold(3, period, params,
+                  regenerate_rows(3, params.v + 1, params.v + params.p_bar))
+    return verify_configuration(matrix, 3)
+
+
 def relabel(c: Configuration, seed: int) -> Configuration:
     """Apply a seeded random point and line permutation."""
     rng = random.Random(seed)
@@ -96,6 +109,12 @@ def relabel(c: Configuration, seed: int) -> Configuration:
 def dual(c: Configuration) -> Configuration:
     """Swap the roles of points and lines."""
     return Configuration(c.v, c.k, tuple(c.lines_through()))
+
+
+def disjoint_union(a: Configuration, b: Configuration) -> Configuration:
+    """a beside b, b's points renumbered after a's."""
+    return Configuration(a.v + b.v, a.k, a.incidence + tuple(
+        tuple(p + a.v for p in line) for line in b.incidence))
 
 
 def random_configuration(v: int, k: int, seed: int) -> Configuration:
@@ -383,3 +402,81 @@ class TestAgainstBruteForce:
         assert automorphism_count(c) == automorphism_count(dual(c)) == 2
         assert isomorphic(c, dual(c)) is False
         assert isomorphic(dual(c), relabel(dual(c), 17)) is True
+
+
+# sha256(canonical_form(c)).hexdigest()[:16], as the full-tree search
+# gave them.
+CANONICAL_FORM_PINS = {
+    "triangle": "b0dd8b557871b491",
+    "fano": "e965a6af60f07d9f",
+    "e3_16": "85dcc5e4e5cff59f",
+    "e3_32": "e5c88672e9806b91",
+    "fold_160": "7a440983d9edf8d5",
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL_FORM_PINS)
+def test_canonical_form_bytes_are_pinned(name, request):
+    c = request.getfixturevalue(name)
+    digest = hashlib.sha256(canonical_form(c)).hexdigest()[:16]
+    assert digest == CANONICAL_FORM_PINS[name]
+
+
+def test_fold_160_group_order(fold_160):
+    assert automorphism_count(fold_160) == 10
+
+
+@pytest.fixture(scope="module")
+def slow_path_runs():
+    """The full-tree search of tests/_dense.py on seeded random 10_3 to
+    15_3 configurations, their duals, X + X and X + dual(X): per input
+    the Levi graph, the root colors, the oracle's (certificate, count),
+    and every (colors in, colors out) of its refinement calls."""
+    xs = [random_configuration(v, 3, seed)
+          for v in range(10, 16) for seed in (1, 2, 3)]
+    inputs = (xs + [dual(x) for x in xs]
+              + [disjoint_union(x, x) for x in xs[:2]]
+              + [disjoint_union(x, dual(x)) for x in xs[:2]])
+    oracle_refine = _dense._refine
+    runs = []
+    try:
+        for c in inputs:
+            adj = _levi_adjacency(c)
+            visited = []
+
+            def spy(adj, colors):
+                out = oracle_refine(adj, colors)
+                visited.append((colors, out))
+                return out
+
+            _dense._refine = spy
+            root = [0] * c.v + [1] * c.v
+            runs.append((adj, root, _dense._canon_search(adj, root),
+                         visited))
+    finally:
+        _dense._refine = oracle_refine
+    return runs
+
+
+class TestAgainstSlowPath:
+    """The pruned search and the incremental refinement against the
+    full-tree search and whole-graph refinement they replaced."""
+
+    def test_certificates_and_group_orders(self, slow_path_runs):
+        counts = set()
+        for adj, root, expected, _ in slow_path_runs:
+            assert _canon_search(adj, root) == expected
+            counts.add(expected[1])
+        assert {1, 2, 18, 72} <= counts
+
+    def test_refinement_at_every_oracle_node(self, slow_path_runs):
+        nodes = 0
+        for adj, _, _, visited in slow_path_runs:
+            for colors, expected in visited:
+                assert _refine(adj, colors) == expected
+                # Below the root, one vertex holds the fresh color.
+                fresh = [u for u, col in enumerate(colors) if col == len(adj)]
+                if fresh:
+                    assert _refine(adj, colors, fresh) == expected
+                    nodes += 1
+        assert nodes > 1000
