@@ -116,6 +116,14 @@ class _Progress:
             self.last = now
 
 
+def _progress_on_row(interval: float, label: str):
+    """An ``on_row`` callback printing progress, or None when it is off."""
+    if interval <= 0:
+        return None
+    progress = _Progress(interval, label)
+    return lambda k, ones: progress.step(k)
+
+
 # -- gen ---------------------------------------------------------------------
 
 class _StdoutSink:
@@ -228,32 +236,28 @@ def cmd_period(args) -> int:
                 f"{cp.detector.window} of checkpoint {ckpt_path}")
         window = cp.detector.window
         resume = cp.restore_resume()
-    progress = _Progress(args.progress_every, f"period n={args.n}")
-    state = {"rows": cp.rows_emitted if cp else 0}
 
-    def on_row(k: int, ones) -> None:
-        state["rows"] = k
-        progress.step(k)
+    def save(state) -> None:
+        save_checkpoint(Checkpoint.capture(
+            state.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
+            detector=state.detector), ckpt_path)
 
-    chunk = args.checkpoint_every_rows if ckpt_path else args.max_rows
-    result = None
-    while result is None:
-        budget = min(args.max_rows, state["rows"] + chunk)
-        try:
-            result = detect_period(args.n, budget, window=window,
-                                   resume=resume, on_row=on_row)
-        except BudgetExhaustedError as exc:
-            resume = exc.resume
-            if ckpt_path:
-                save_checkpoint(Checkpoint.capture(
-                    resume.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
-                    detector=resume.detector), ckpt_path)
-            if exc.rows_examined >= args.max_rows:
-                print(f"n={args.n} budget exhausted after "
-                      f"{exc.rows_examined} rows; no period confirmed")
-                if ckpt_path:
-                    print(f"resumable checkpoint: {ckpt_path}")
-                return EXIT_BUDGET
+    try:
+        result = detect_period(
+            args.n, args.max_rows, window=window, resume=resume,
+            on_row=_progress_on_row(args.progress_every,
+                                    f"period n={args.n}"),
+            on_checkpoint=save if ckpt_path else None,
+            checkpoint_every_rows=args.checkpoint_every_rows,
+            checkpoint_every_seconds=args.checkpoint_every_seconds)
+    except BudgetExhaustedError as exc:
+        if ckpt_path:
+            save(exc.resume)
+        print(f"n={args.n} budget exhausted after {exc.rows_examined} "
+              f"rows; no period confirmed")
+        if ckpt_path:
+            print(f"resumable checkpoint: {ckpt_path}")
+        return EXIT_BUDGET
     for line in _report_period(result):
         print(line)
     return EXIT_OK
@@ -272,7 +276,9 @@ def _emit_matrix(mat, fmt: str, out: str | None) -> None:
 
 def cmd_fold(args) -> int:
     window = DEFAULT_WINDOW if args.window is None else args.window
-    result = detect_period(args.n, args.max_rows, window=window)
+    result = detect_period(
+        args.n, args.max_rows, window=window,
+        on_row=_progress_on_row(args.progress_every, f"fold n={args.n}"))
     if args.compact:
         rows = (iter_row_log(args.log) if args.log
                 else regenerate_rows(args.n, 1, result.p))

@@ -8,14 +8,14 @@ diagonal, combined by a rolling polynomial hash) and keeps fingerprints
 of the most recent ``window`` rows, so the first recurrence of a state
 is found in a single pass whenever the cycle length fits in the window.
 
-Fingerprint hits are never trusted.  A candidate period p found at rows
-(k0, k0+p) is verified bit-exactly:
-
-* the frontier column must satisfy l(k0+p) = l(k0) + p, and
-* the row-shift identity ones(row i+p) = ones(row i) + p must hold for
-  p + sigma consecutive rows from k0 — enough that the identity then
-  sustains itself forever, because every later window consists of rows
-  already known to repeat.
+The fingerprint key holds the diagonal offset k - l(k) exactly, beside
+the hash, so two states with the same key are diagonally aligned: a hit
+at rows (k0, k0+p) always has l(k0+p) = l(k0) + p.  The hash part is
+never trusted.  A candidate period p is verified bit-exactly: the
+row-shift identity ones(row i+p) = ones(row i) + p must hold for
+p + sigma consecutive rows from k0 — enough that the identity then
+sustains itself forever, because every later window consists of rows
+already known to repeat.
 
 The preperiod is minimized afterwards with an independent second cursor
 from row 1 (tracking the last row-shift mismatch), and minimality of p
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import monotonic
 
 from .errors import (BudgetExhaustedError, CorruptCheckpointError,
                      InvalidParameterError, InvariantViolationError)
@@ -133,6 +134,11 @@ class DetectorSnapshot:
     checkpoint, which stored the table instead; such a snapshot resumes
     with an empty table, which can only delay detection.
 
+    :func:`detect_period` takes snapshots from its live detector, both
+    for in-loop checkpoints and when the budget runs out, and goes on
+    detecting; a process replays a snapshot only once, when it resumes
+    from one.
+
     ``candidate`` preserves an in-flight verification — the ``(k0, p)``
     recurrence being checked when the budget ran out — so that resuming
     continues the bit-exact comparison instead of discarding it.  The
@@ -194,6 +200,9 @@ class _Detector:
 
     Every state is recorded, so the table is a pure function of the
     rows in the ring: :meth:`restore` rebuilds it by replaying them.
+    The table maps a key to the last state row k that had it; ``ages``
+    holds the keys of the last ``window`` states in order, so the k of
+    ``ages[0]`` is the newest k minus ``len(ages) - 1``.
     """
 
     __slots__ = ("window", "sigma", "table", "ages", "ring", "deq", "poly",
@@ -202,9 +211,9 @@ class _Detector:
     def __init__(self, window: int, sigma: int):
         self.window = window
         self.sigma = sigma
-        # fingerprint key -> (state row k, frontier l at k)
-        self.table: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self.ages: deque[tuple[int, tuple[int, int, int]]] = deque()
+        # fingerprint key (poly, live rows, k - l) -> last state row k
+        self.table: dict[tuple[int, int, int], int] = {}
+        self.ages: deque[tuple[int, int, int]] = deque()
         # sigma extra rows give the oldest state in the table its window.
         self.ring = _Ring(window + 1 + sigma)
         # live-window mirror: (last one-column, hash term) per live row;
@@ -228,20 +237,20 @@ class _Detector:
             poly = (poly - deq.popleft()[1] * pows[len(deq)]) % _MOD
         self.poly = poly
 
-    def record(self, k: int, l: int) -> tuple[int, int] | None:
-        """Enter state (k, l); return the (k0, l0) its key held before."""
+    def record(self, k: int, l: int) -> int | None:
+        """Enter state (k, l), the state after the last recorded one;
+        return the state row k0 its key held before.  The key fixes
+        k - l, so l0 = k0 - (k - l)."""
         key = (self.poly, len(self.deq), k - l)
         table = self.table
         hit = table.get(key)
-        table[key] = (k, l)
+        table[key] = k
         ages = self.ages
-        ages.append((k, key))
-        horizon = k - self.window
-        while ages[0][0] <= horizon:
-            old_k, old_key = ages.popleft()
-            old = table.get(old_key)
-            if old is not None and old[0] == old_k:
-                del table[old_key]
+        ages.append(key)
+        if len(ages) > self.window:
+            old = ages.popleft()  # the key of state k - window
+            if table[old] == k - self.window:
+                del table[old]
         return hit
 
     def snapshot(self, candidate: tuple[int, int] | None = None
@@ -275,14 +284,14 @@ class _Detector:
         else:
             lo = det._replay(snap, end)
         # The replayed window must be the generator's, from row lo on.
-        if list(det.deq) != [(ones[-1], hash(tuple(j - i for j in ones))
+        if list(det.deq) != [(ones[-1], hash(tuple([j - i for j in ones]))
                               % _MOD) for i, ones in gen._live if i >= lo]:
             raise CorruptCheckpointError(
                 "detector ring disagrees with the generator's live rows")
         det.deq.clear()
         det.poly = 0
         for i, ones in gen._live:
-            det.push_row(ones[-1], tuple(j - i for j in ones), 0)
+            det.push_row(ones[-1], tuple([j - i for j in ones]), 0)
         return det
 
     def _replay(self, snap: DetectorSnapshot, end: int) -> int:
@@ -346,7 +355,10 @@ def _minimize_p(encs, p: int) -> int:
 
 def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                   resume: ResumeState | None = None, on_row=None,
-                  log_sink=None) -> PeriodResult:
+                  log_sink=None, on_checkpoint=None,
+                  checkpoint_every_rows: int | None = None,
+                  checkpoint_every_seconds: float | None = None
+                  ) -> PeriodResult:
     """Minimal (preperiod, period) of the order-``n`` construction.
 
     ``max_rows`` bounds the rows generated by the detection cursor
@@ -357,14 +369,30 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     1..pp + 2*p*m (m the minimal fold multiplier), enough to fold with
     default parameters afterwards.
 
-    The result is exact: alignment and row-shift identities are checked
-    bit-for-bit over p + sigma consecutive rows, pp is minimized by a
-    second pass, and p is minimal among all divisors.
+    ``on_checkpoint(resume)`` receives a :class:`ResumeState` (its own
+    copy of the generator) between rows, once ``checkpoint_every_rows``
+    rows or ``checkpoint_every_seconds`` seconds have passed since the
+    last one or since the call began, whichever comes first; detection
+    then goes on with the same detector.  No checkpoint is offered at the
+    row where the budget runs out, as the error carries that state.  So
+    a run's detector is rebuilt from a snapshot only when it resumes.
+
+    The result is exact: row-shift identities are checked bit-for-bit
+    over p + sigma consecutive rows, pp is minimized by a second pass,
+    and p is minimal among all divisors.
     """
     if max_rows < 1:
         raise InvalidParameterError(f"max_rows must be >= 1, got {max_rows}")
     if window < 4:
         raise InvalidParameterError(f"window must be >= 4, got {window}")
+    if checkpoint_every_rows is not None and checkpoint_every_rows < 1:
+        raise InvalidParameterError(
+            f"checkpoint_every_rows must be >= 1, got {checkpoint_every_rows}")
+    if checkpoint_every_seconds is not None and \
+            not checkpoint_every_seconds > 0:
+        raise InvalidParameterError(
+            f"checkpoint_every_seconds must be > 0, got "
+            f"{checkpoint_every_seconds}")
     if resume is None:
         gen = new_generator(n)
         det = _Detector(window, gen.params.sigma)
@@ -396,19 +424,31 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             ring.pin = candidate[0]
         else:
             candidate = None
+    every_rows = max_rows if checkpoint_every_rows is None \
+        else checkpoint_every_rows
+    every_s = float("inf") if checkpoint_every_seconds is None \
+        else checkpoint_every_seconds
+    saved = gen.rows_emitted  # rows at the last checkpoint, or at the start
+    save_at = monotonic() + every_s
     while True:
-        if gen.rows_emitted >= max_rows:
+        rows = gen.rows_emitted
+        if rows >= max_rows:
             raise BudgetExhaustedError(
                 f"no period confirmed within {max_rows} rows",
                 resume=ResumeState(generator=gen,
                                    detector=det.snapshot(candidate)),
-                rows_examined=gen.rows_emitted)
+                rows_examined=rows)
+        if on_checkpoint is not None and rows != saved and (
+                rows - saved >= every_rows or monotonic() >= save_at):
+            on_checkpoint(ResumeState(gen.clone(), det.snapshot(candidate)))
+            saved = rows
+            save_at = monotonic() + every_s
         k, ones = gen._advance()
         if on_row is not None:
             on_row(k, ones)
         state_k = gen.next_k
         frontier = gen.frontier_l
-        enc = tuple(j - k for j in ones)
+        enc = tuple([j - k for j in ones])
         ring.append(enc, state_k - frontier)
         det.push_row(ones[-1], enc, frontier)
         hit = det.record(state_k, frontier)
@@ -420,7 +460,7 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             encs = [()]  # 1-based
             for _ in range(2 * p):
                 fk, fones = fresh._advance()
-                encs.append(tuple(j - fk for j in fones))
+                encs.append(tuple([j - fk for j in fones]))
             p = _minimize_p(encs, p)
             b, lm = _measure(encs, 1, p + 1)
             return finish(0, p, b, lm, True)
@@ -446,14 +486,10 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
 
         if hit is None:
             continue
-        k0, l0 = hit
-        p = state_k - k0
-        if frontier != l0 + p:
-            continue  # no diagonal alignment: cannot be a period
-        if not ring.covers(k0):
+        if not ring.covers(hit):
             continue  # too old to verify; a later recurrence will do
-        candidate = (k0, p)
-        ring.pin = k0
+        candidate = (hit, state_k - hit)
+        ring.pin = hit
 
 
 def _minimize_pp(n: int, k0: int, p: int) -> int:
@@ -464,7 +500,7 @@ def _minimize_pp(n: int, k0: int, p: int) -> int:
     limit = k0 - 1 + p
     for k in range(1, limit + 1):
         _, ones = gen._advance()
-        enc = tuple(j - k for j in ones)
+        enc = tuple([j - k for j in ones])
         if k > p and k - p < k0:
             if recent[0] != enc:
                 last_fail = k - p

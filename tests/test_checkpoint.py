@@ -195,7 +195,9 @@ class TestDetectorCheckpoint:
                                                  stops):
         """The table rebuilt at load is, entry for entry, the table of a
         detector that saw every row without a break (n = 16 ends in the
-        restart shortcut at row 273)."""
+        restart shortcut at row 273).  The reference is fed row by row
+        through ``push_row`` and ``record``, as ``detect_period`` feeds
+        its live detector."""
         gen = new_generator(n)
         ref = _Detector(window, gen.params.sigma)
         resume = None
@@ -207,7 +209,7 @@ class TestDetectorCheckpoint:
             resume = load_checkpoint(str(path)).restore_resume()
             while gen.rows_emitted < stop:
                 k, ones = gen._advance()
-                ref.push_row(ones[-1], tuple(j - k for j in ones),
+                ref.push_row(ones[-1], tuple([j - k for j in ones]),
                              gen.frontier_l)
                 ref.record(gen.next_k, gen.frontier_l)
             det = _Detector.restore(resume.detector, resume.generator)

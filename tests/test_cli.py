@@ -9,6 +9,7 @@ import pytest
 from rectfree import (IncidenceMatrix, InvariantViolationError,
                       load_checkpoint, save_checkpoint)
 from rectfree import cli
+from rectfree.period import _Detector
 from rectfree.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -189,6 +190,92 @@ class TestPeriod:
         assert capsys.readouterr().out == whole
         assert "pp=48 p=16" in whole
 
+    def test_sliced_across_calls_prints_what_an_unsliced_run_prints(
+            self, tmp_path, capsys):
+        # Each call resumes from the file, raising --max-rows by 10, so
+        # the detector is rebuilt from the ring at every call, often in
+        # the middle of the 86-row verification of p = 16.
+        base = ["period", "-n", "3", "--window", "16",
+                "--progress-every", "0"]
+        assert main(base + ["--max-rows", "5000"]) == EXIT_OK
+        whole = capsys.readouterr().out
+        ckpt = tmp_path / "p3.ckpt"
+        in_flight = 0
+        for budget in range(10, 5000, 10):
+            code = main(base + ["--max-rows", str(budget),
+                                "--checkpoint", str(ckpt)])
+            if code == EXIT_OK:
+                break
+            assert code == EXIT_BUDGET
+            capsys.readouterr()
+            in_flight += load_checkpoint(str(ckpt)).detector.candidate \
+                is not None
+        assert capsys.readouterr().out == whole
+        assert in_flight >= 3
+
+    def test_restore_runs_only_when_resuming(self, tmp_path, capsys,
+                                             monkeypatch):
+        restores = []
+        original = _Detector.restore
+
+        def counting(cls, snap, gen):
+            restores.append(gen.rows_emitted)
+            return original(snap, gen)
+
+        monkeypatch.setattr(_Detector, "restore", classmethod(counting))
+        base = ["period", "-n", "3", "--window", "16", "--checkpoint",
+                str(tmp_path / "p3.ckpt"), "--checkpoint-every-rows", "7",
+                "--progress-every", "0"]
+        assert main(base + ["--max-rows", "60"]) == EXIT_BUDGET
+        assert restores == []
+        assert main(base + ["--max-rows", "1000"]) == EXIT_OK
+        assert restores == [60]
+        assert capsys.readouterr().out.endswith(PERIOD3_REPORT)
+
+    @pytest.mark.parametrize("n, window, rows, cadences", [
+        (3, 16, 100, (7, 1000)), (6, 1 << 17, 3000, (997,))])
+    def test_final_checkpoint_does_not_depend_on_the_cadence(
+            self, tmp_path, capsys, n, window, rows, cadences):
+        def final_bytes(name, budgets, extra=()):
+            ckpt = tmp_path / name
+            for budget in budgets:
+                assert main(["period", "-n", str(n), "--window", str(window),
+                             "--max-rows", str(budget), "--checkpoint",
+                             str(ckpt), "--progress-every", "0", *extra]) \
+                    == EXIT_BUDGET
+            return ckpt.read_bytes()
+
+        whole = final_bytes("whole.ckpt", [rows])
+        # Resumed calls rebuild the detector from the file each time.
+        assert final_bytes("sliced.ckpt",
+                           [rows // 3, 2 * rows // 3, rows]) == whole
+        for every in cadences:
+            assert final_bytes(f"every{every}.ckpt", [rows],
+                               ["--checkpoint-every-rows", str(every)]) \
+                == whole
+
+    def test_row_and_seconds_cadences_are_honoured(self, tmp_path, capsys,
+                                                   monkeypatch):
+        saved = []
+        original = cli.save_checkpoint
+
+        def counting(checkpoint, path):
+            saved.append(checkpoint.rows_emitted)
+            return original(checkpoint, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", counting)
+        base = ["period", "-n", "3", "--max-rows", "100", "--checkpoint",
+                str(tmp_path / "p3.ckpt"), "--progress-every", "0"]
+        assert main(base + ["--checkpoint-every-rows", "30"]) == EXIT_BUDGET
+        assert saved == [30, 60, 90, 100]
+        (tmp_path / "p3.ckpt").unlink()
+        saved.clear()
+        assert main(base + ["--checkpoint-every-rows", "1000000",
+                            "--checkpoint-every-seconds", "1e-9"]) \
+            == EXIT_BUDGET
+        assert saved == list(range(1, 101))
+        assert "budget exhausted after 100 rows" in capsys.readouterr().out
+
     def test_ring_disagreeing_with_the_generator_is_io_error(self, tmp_path,
                                                              capsys):
         ckpt = tmp_path / "p3.ckpt"
@@ -355,6 +442,17 @@ class TestFold:
         capsys.readouterr()
         assert main(["fold", "-n", "3", "--log", str(log)]) == EXIT_OK
         assert capsys.readouterr().out == regenerated
+
+    def test_progress_goes_to_stderr_only(self, capsys):
+        assert main(["fold", "-n", "3", "--progress-every", "0"]) == EXIT_OK
+        quiet = capsys.readouterr()
+        assert "rows/s" not in quiet.err
+        assert main(["fold", "-n", "3", "--progress-every", "1e-9"]) \
+            == EXIT_OK
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert "fold n=3: " in loud.err
+        assert loud.err.endswith(quiet.err)
 
     def test_fold_budget_exhaustion_propagates(self, capsys):
         assert main(["fold", "-n", "6", "--max-rows", "2000"]) == EXIT_BUDGET

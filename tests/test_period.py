@@ -107,6 +107,44 @@ class TestBudgetAndResume:
             detect_period(1, bad)
 
 
+class TestInLoopCheckpoints:
+    def test_checkpoints_follow_the_row_cadence_and_resume(self):
+        states = []
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 100, window=16, on_checkpoint=states.append,
+                          checkpoint_every_rows=30)
+        assert [s.generator.rows_emitted for s in states] == [30, 60, 90]
+        # Each state owns its generator, and each resumes like the
+        # state at the end of a budget-limited run.
+        final = info.value.resume
+        assert all(s.generator is not final.generator for s in states)
+        whole = detect_period(3, 1000, window=16)
+        for state in states:
+            with pytest.raises(BudgetExhaustedError) as cut:
+                detect_period(3, state.generator.rows_emitted, window=16)
+            assert cut.value.resume.detector == state.detector
+            assert detect_period(3, 1000, window=16, resume=state) == whole
+
+    def test_checkpointed_run_finds_the_same_period(self):
+        states = []
+        result = detect_period(3, 1000, window=16,
+                               on_checkpoint=states.append,
+                               checkpoint_every_rows=7)
+        assert result == detect_period(3, 1000, window=16)
+        # Row 140 confirms the period before its checkpoint falls due.
+        assert [s.generator.rows_emitted for s in states] == \
+            list(range(7, 140, 7))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"checkpoint_every_rows": 0}, {"checkpoint_every_rows": -1},
+        {"checkpoint_every_seconds": 0.0},
+        {"checkpoint_every_seconds": float("nan")}])
+    def test_cadence_validation(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            detect_period(3, 100, on_checkpoint=lambda state: None,
+                          **kwargs)
+
+
 class TestWindow:
     def test_small_window_still_finds_n3(self):
         res = detect_period(3, 10_000, window=32)
