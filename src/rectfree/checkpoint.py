@@ -46,13 +46,13 @@ import os
 import struct
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
-from .generator import (GeneratorState, MAX_ORDER, format_row_line,
-                        parse_row_line)
+from .generator import GeneratorState, MAX_ORDER, parse_row_line
 from .period import DetectorSnapshot, ResumeState
 
 MAGIC = b"RFCKPT"
@@ -75,7 +75,8 @@ _TYPECODES = {array(code).itemsize: code for code in "qlihb"}
 
 def chain_row_hash(digest: bytes, index: int, ones) -> bytes:
     """Absorb one emitted row into the running row-log chain hash."""
-    line = format_row_line(index, tuple(ones)) + "\n"
+    # The format_row_line text and its newline, built in one step.
+    line = f"{index}\t{','.join(map(str, ones))}\n"
     return hashlib.sha256(digest + line.encode("ascii")).digest()
 
 
@@ -400,6 +401,34 @@ def load_checkpoint(source) -> Checkpoint:
     return _decode(records, version)
 
 
+def _lock(fd: int, name: str) -> None:
+    """Take an exclusive advisory lock on ``fd`` for as long as it stays
+    open, or raise :class:`InvalidParameterError` naming ``name`` at once
+    when another process holds one.  Without ``fcntl`` (a platform that
+    is not POSIX) nothing is locked."""
+    try:
+        import fcntl
+    except ImportError:
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise InvalidParameterError(
+            f"{name} is in use by another process") from None
+
+
+@contextmanager
+def exclusive_lock(path, name: str):
+    """Hold :func:`_lock` on ``path`` (created if missing, otherwise left
+    as it is) for the block."""
+    fd = os.open(os.fspath(path), os.O_RDONLY | os.O_CREAT, 0o644)
+    try:
+        _lock(fd, name)
+        yield
+    finally:
+        os.close(fd)
+
+
 # -- the row log -------------------------------------------------------------
 
 class RowLog:
@@ -409,7 +438,9 @@ class RowLog:
     ``(offset, row_hash)``; in both cases the file is truncated to the
     offset, discarding any torn tail beyond the last state the paired
     checkpoint vouches for, after the retained prefix has been verified
-    against the expected chain value.
+    against the expected chain value.  The log holds an exclusive lock
+    until it is closed: opening a log that another process is writing
+    raises :class:`InvalidParameterError` and leaves the file as it is.
     """
 
     def __init__(self, path, *, offset: int = 0,
@@ -419,6 +450,7 @@ class RowLog:
         self.path = os.fspath(path)
         self._fh = open(self.path, "a+b")
         try:
+            _lock(self._fh.fileno(), f"row log {self.path}")
             if offset:
                 actual, _rows = _scan_log(self._fh, offset)
                 if actual != row_hash:
@@ -434,7 +466,8 @@ class RowLog:
         self.row_hash = bytes(row_hash) if offset else EMPTY_ROW_HASH
 
     def append(self, index: int, ones) -> None:
-        line = (format_row_line(index, tuple(ones)) + "\n").encode("ascii")
+        # The format_row_line text and its newline, built in one step.
+        line = f"{index}\t{','.join(map(str, ones))}\n".encode("ascii")
         self._fh.write(line)
         self.row_hash = hashlib.sha256(self.row_hash + line).digest()
         self.offset += len(line)

@@ -19,10 +19,11 @@ Subcommands
 ``galfs``
     List the cells of a finite matrix that would complete a rectangle.
 
-Exit codes: 0 success, 2 usage or invalid parameters, 3 budget
-exhausted, 4 verification violation (axiom failure, refused fold, or a
-requested comparison answering "no"), 5 I/O or checkpoint damage,
-70 internal error (a failed invariant: a bug in rectfree, not a finding).
+Exit codes: 0 success, 2 usage or invalid parameters (a checkpoint or
+row log in use by another run among them), 3 budget exhausted, 4
+verification violation (axiom failure, refused fold, or a requested
+comparison answering "no"), 5 I/O or checkpoint damage, 70 internal
+error (a failed invariant: a bug in rectfree, not a finding).
 
 Everything written to standard output is deterministic for a fixed
 command line and input files; progress and timing lines go to standard
@@ -36,14 +37,16 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from .checkpoint import (Checkpoint, EMPTY_ROW_HASH, RowLog, chain_row_hash,
-                         iter_row_log, load_checkpoint, save_checkpoint)
+                         exclusive_lock, iter_row_log, load_checkpoint,
+                         save_checkpoint)
 from .errors import (BudgetExhaustedError, CheckpointError,
                      ConstraintViolationError, InvalidParameterError,
                      InvariantViolationError, SizeLimitError)
 from .folding import FoldParams, compact_plane, fold, regenerate_rows
-from .generator import compute_galfs, format_row_line, new_generator
+from .generator import compute_galfs, new_generator
 from .matrix import parse_matrix_text
 from .period import DEFAULT_WINDOW, detect_period, minimal_fold_multiplier
 from .verify import (Configuration, automorphism_count, is_projective_plane,
@@ -83,6 +86,16 @@ def _load_for(path: str | None, n: int) -> Checkpoint | None:
     return cp
 
 
+def _writer_lock(ckpt_path: str | None):
+    """Exclusive lock held for a whole run on a ``<checkpoint>.lock``
+    sidecar (each save renames a new file over the checkpoint), so a
+    second process on the same checkpoint exits at once and touches
+    neither file.  A row log locks itself."""
+    if not ckpt_path:
+        return nullcontext()
+    return exclusive_lock(ckpt_path + ".lock", f"checkpoint {ckpt_path}")
+
+
 def _check_cadence(args) -> None:
     """Refuse checkpoint cadences that never advance, before any file is
     read: a zero-row cadence would make ``period`` rewrite its checkpoint
@@ -106,8 +119,6 @@ class _Progress:
         self.start = self.last = time.monotonic()
 
     def step(self, rows: int) -> None:
-        if self.interval <= 0:
-            return
         now = time.monotonic()
         if now - self.last >= self.interval:
             rate = rows / (now - self.start) if now > self.start else 0.0
@@ -134,7 +145,8 @@ class _StdoutSink:
         self.row_hash = row_hash
 
     def append(self, index: int, ones) -> None:
-        line = format_row_line(index, ones) + "\n"
+        # The format_row_line text and its newline, built in one step.
+        line = f"{index}\t{','.join(map(str, ones))}\n"
         sys.stdout.write(line)
         self.row_hash = chain_row_hash(self.row_hash, index, ones)
         self.offset += len(line)
@@ -152,6 +164,22 @@ def cmd_gen(args) -> int:
             f"--rows must be a positive total, got {args.rows}")
     _check_cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "gen", args.n)
+    with _writer_lock(ckpt_path):
+        gen = _gen_rows(args, ckpt_path)
+    report = [f"rows: {gen.rows_emitted}"]
+    if args.out:
+        report.append(f"row log: {args.out}")
+    if ckpt_path:
+        report.append(f"checkpoint: {ckpt_path}")
+    out = sys.stderr if not args.out else sys.stdout
+    for line in report:
+        print(line, file=out)
+    return EXIT_OK
+
+
+def _gen_rows(args, ckpt_path: str | None):
+    """Emit rows up to ``args.rows`` in all, saving on the cadence and at
+    the end; returns the generator."""
     cp = _load_for(ckpt_path, args.n)
     if cp is None:
         gen = new_generator(args.n)
@@ -167,41 +195,41 @@ def cmd_gen(args) -> int:
         sink = RowLog(args.out, offset=offset, row_hash=row_hash)
     else:
         sink = _StdoutSink(offset, row_hash)
-    progress = _Progress(args.progress_every, f"gen n={args.n}")
-    since_rows = 0
-    since_time = time.monotonic()
-    try:
-        while gen.rows_emitted < args.rows:
-            row = gen.next_row()
-            sink.append(row.index, row.ones)
-            since_rows += 1
-            progress.step(gen.rows_emitted)
-            if ckpt_path and (
-                    since_rows >= args.checkpoint_every_rows or
-                    time.monotonic() - since_time
-                    >= args.checkpoint_every_seconds):
-                sink.sync()
-                save_checkpoint(Checkpoint.capture(
-                    gen, row_hash=sink.row_hash, log_offset=sink.offset),
-                    ckpt_path)
-                since_rows = 0
-                since_time = time.monotonic()
+
+    def save() -> None:
         sink.sync()
-        if ckpt_path:
-            save_checkpoint(Checkpoint.capture(
-                gen, row_hash=sink.row_hash, log_offset=sink.offset),
-                ckpt_path)
+        save_checkpoint(Checkpoint.capture(
+            gen, row_hash=sink.row_hash, log_offset=sink.offset), ckpt_path)
+
+    next_row = gen.next_row
+    append = sink.append
+    on_row = _progress_on_row(args.progress_every, f"gen n={args.n}")
+    every_rows = args.checkpoint_every_rows
+    every_s = args.checkpoint_every_seconds
+    monotonic = time.monotonic
+    saved = None  # rows emitted at this run's last save
+    due_row = gen.rows_emitted + every_rows
+    due_time = monotonic() + every_s
+    try:
+        for _ in range(args.rows - gen.rows_emitted):
+            row = next_row()
+            append(row.index, row.ones)
+            if on_row is not None:
+                on_row(row.index, row.ones)
+            if ckpt_path and (row.index >= due_row or
+                              monotonic() >= due_time):
+                save()
+                saved = row.index
+                due_row = saved + every_rows
+                due_time = monotonic() + every_s
+        if saved != gen.rows_emitted:
+            if ckpt_path:
+                save()
+            else:
+                sink.sync()
     finally:
         sink.close()
-    report = [f"rows: {gen.rows_emitted}"]
-    if args.out:
-        report.append(f"row log: {args.out}")
-    if ckpt_path:
-        report.append(f"checkpoint: {ckpt_path}")
-    out = sys.stderr if not args.out else sys.stdout
-    for line in report:
-        print(line, file=out)
-    return EXIT_OK
+    return gen
 
 
 # -- period ------------------------------------------------------------------
@@ -221,6 +249,11 @@ def _report_period(result) -> list[str]:
 def cmd_period(args) -> int:
     _check_cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "period", args.n)
+    with _writer_lock(ckpt_path):
+        return _detect(args, ckpt_path)
+
+
+def _detect(args, ckpt_path: str | None) -> int:
     cp = _load_for(ckpt_path, args.n)
     resume = None
     window = DEFAULT_WINDOW if args.window is None else args.window

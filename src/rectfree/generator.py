@@ -9,15 +9,17 @@ reaches its cap.
 
 The engine keeps only a sliding band of state near the diagonal:
 
-* ``col_weight`` / column supports for columns at or right of the
-  leftmost incomplete column (the *frontier*), and
+* one dict of column supports for the columns at or right of the
+  leftmost incomplete column (the *frontier*) that hold a one, and
 * the recent rows whose ones could still take part in a rectangle check
   (``live_rows``).
 
-Column supports are stored as integer bitmasks over recent row indices,
-so the rectangle test for a cell is a single bitwise AND between the
-candidate column's support and the union of supports of the ones already
-placed in the row being built.
+A support is an integer bitmask over recent row indices, so a column's
+weight is its popcount.  No row takes bit 0, and a complete column holds
+the sentinel support ``1``.  The union of the supports of the ones
+already placed in the row being built starts with bit 0 set, so one
+lookup and one AND reject a column that is complete or would close a
+rectangle.
 """
 from __future__ import annotations
 
@@ -102,8 +104,8 @@ class GeneratorState:
     """
 
     __slots__ = ("params", "row_cap", "col_cap", "max_len", "next_k",
-                 "frontier_l", "rows_emitted", "_live", "_colw", "_sup",
-                 "_base", "_keep")
+                 "frontier_l", "rows_emitted", "_live", "_sup", "_base",
+                 "_keep")
 
     def __init__(self, *, params: Params | None, row_cap: int, col_cap: int,
                  max_len: int):
@@ -118,10 +120,9 @@ class GeneratorState:
         self.rows_emitted = 0
         # Live rows: deque of (index, ones) in increasing index order.
         self._live: deque[tuple[int, tuple[int, ...]]] = deque()
-        # col -> number of ones, kept until the frontier passes the column.
-        self._colw: dict[int, int] = {}
-        # col -> bitmask of supporting rows (bit i-_base == row i has a
-        # one here); dropped as soon as the column completes.
+        # col -> support bitmask (bit i-_base >= 1 set when row i has a
+        # one there) of each column at or right of the frontier holding a
+        # one; a complete column holds the sentinel 1 (bit 0, no row).
         self._sup: dict[int, int] = {}
         self._base = 0
         self._keep = max_len + 2
@@ -138,7 +139,6 @@ class GeneratorState:
         other.frontier_l = self.frontier_l
         other.rows_emitted = self.rows_emitted
         other._live = deque(self._live)
-        other._colw = dict(self._colw)
         other._sup = dict(self._sup)
         other._base = self._base
         other._keep = self._keep
@@ -151,7 +151,9 @@ class GeneratorState:
     @property
     def col_weight(self) -> dict[int, int]:
         """Weights of columns not yet left behind by the frontier."""
-        return dict(self._colw)
+        cap = self.col_cap
+        return {c: cap if s == 1 else s.bit_count()
+                for c, s in self._sup.items()}
 
     @classmethod
     def from_snapshot(cls, *, n: int, next_k: int, frontier_l: int,
@@ -161,8 +163,8 @@ class GeneratorState:
 
         Every one in a column at or right of the frontier belongs to a
         live row (a row is evicted only once its last one falls left of
-        the frontier), so the column weights and supports are recomputed
-        from ``live_rows`` exactly.  Raises
+        the frontier), so the column supports, and with them the weights,
+        are recomputed from ``live_rows`` exactly.  Raises
         :class:`InvalidParameterError` when the fields cannot describe a
         reachable state.
         """
@@ -199,37 +201,39 @@ class GeneratorState:
         st.rows_emitted = rows_emitted
         st._live = deque(live)
         st._base = live[0][0] - 1 if live else next_k - 1
-        colw = st._colw
         sup = st._sup
         for i, ones in live:
             bit = 1 << (i - st._base)
             for c in ones:
                 if c >= frontier_l:
-                    colw[c] = colw.get(c, 0) + 1
                     sup[c] = sup.get(c, 0) | bit
-        for c, w in colw.items():
+        for c, s in sup.items():
+            w = s.bit_count()
             if w > st.col_cap:
                 raise InvalidParameterError(
                     f"column {c} weight {w} exceeds the cap {st.col_cap}")
             if w == st.col_cap:
-                del sup[c]
-        if colw.get(frontier_l, 0) >= st.col_cap:
+                sup[c] = 1
+        if sup.get(frontier_l) == 1:
             raise InvalidParameterError(
                 f"frontier column {frontier_l} is already complete")
         return st
 
     def _rebase(self) -> None:
-        new_base = self.next_k - self._keep
+        # No row below next_k - _keep may support an incomplete column;
+        # the base sits one below, so every other row keeps a bit >= 1.
+        new_base = self.next_k - self._keep - 1
         if new_base <= self._base:
             return
         shift = new_base - self._base
-        low = (1 << shift) - 1
+        low = (2 << shift) - 1
         sup = self._sup
         for c, s in sup.items():
-            if s & low:
-                raise InvariantViolationError(
-                    f"column {c} supported by a row below the live horizon")
-            sup[c] = s >> shift
+            if s != 1:
+                if s & low:
+                    raise InvariantViolationError(
+                        f"column {c} supported below the live horizon")
+                sup[c] = s >> shift
         self._base = new_base
 
     # -- the greedy scan ----------------------------------------------
@@ -240,42 +244,38 @@ class GeneratorState:
         if k - self._base >= 2 * self._keep:
             self._rebase()
         kbit = 1 << (k - self._base)
-        colw = self._colw
         sup = self._sup
-        row_cap = self.row_cap
+        get = sup.get
         col_cap = self.col_cap
+        need = self.row_cap - 1
+        # The first one always lands on the frontier: it is incomplete and
+        # nothing blocks it yet.
         l = self.frontier_l
-        stop = l + self.max_len  # first one always lands on the frontier
-        blocked = 0
-        ones: list[int] = []
-        placed = 0
-        while placed < row_cap:
-            if l >= stop:
-                raise InvariantViolationError(
-                    f"row {k} exceeded the length bound {self.max_len}")
-            w = colw.get(l, 0)
-            if w != col_cap:
-                s = sup.get(l, 0)
-                if not (s & blocked):
+        s = get(l, 0) | kbit
+        sup[l] = 1 if s.bit_count() == col_cap else s
+        ones = [l]
+        blocked = s | 1  # bit 0 rejects complete columns
+        if need:
+            for l in range(l + 1, l + self.max_len):
+                s = get(l, 0)
+                if not s & blocked:
                     ones.append(l)
-                    placed += 1
-                    w += 1
-                    colw[l] = w
                     s |= kbit
                     blocked |= s
-                    if w == col_cap:
-                        sup.pop(l, None)
-                    else:
-                        sup[l] = s
-            l += 1
+                    sup[l] = 1 if s.bit_count() == col_cap else s
+                    need -= 1
+                    if not need:
+                        break
+            else:
+                raise InvariantViolationError(
+                    f"row {k} exceeded the length bound {self.max_len}")
         row = tuple(ones)
         live = self._live
         live.append((k, row))
-        # Advance the frontier over completed columns, dropping their
-        # weight entries (their supports are already gone).
+        # Advance the frontier over completed columns.
         f = self.frontier_l
-        while colw.get(f, 0) == col_cap:
-            del colw[f]
+        while get(f) == 1:
+            del sup[f]
             f += 1
         self.frontier_l = f
         # Evict rows whose ones all sit in completed columns left of the
@@ -300,12 +300,12 @@ class GeneratorState:
         """
         if len(partial_row) >= self.row_cap:
             return False
-        if self._colw.get(l, 0) >= self.col_cap:
-            return False
-        s = self._sup.get(l, 0)
+        sup = self._sup
+        s = sup.get(l, 0)
+        if s == 1:
+            return False  # complete
         if not s:
             return True
-        sup = self._sup
         blocked = 0
         for j in partial_row:
             blocked |= sup.get(j, 0)

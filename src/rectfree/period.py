@@ -17,9 +17,11 @@ p + sigma consecutive rows from k0 — enough that the identity then
 sustains itself forever, because every later window consists of rows
 already known to repeat.
 
-The preperiod is minimized afterwards with an independent second cursor
-from row 1 (tracking the last row-shift mismatch), and minimality of p
-is confirmed against every proper divisor over one full period window.
+The preperiod is then the last row i < k0 where the row-shift identity
+fails.  It is read from the detector's ring of recent rows when the ring
+reaches back to that row (or to row 1); otherwise a second cursor
+regenerates the rows from row 1.  Minimality of p is confirmed against
+every proper divisor over one full period window.
 
 Special case: when the frontier column of the state about to build row
 k has no ones at all, the construction restarts from scratch shifted by
@@ -76,7 +78,7 @@ def defining_matrix(state: GeneratorState) -> DefiningMatrix:
         raise InvalidParameterError("defining_matrix needs >= 1 emitted row")
     k = state.next_k
     l = state.frontier_l
-    if l not in state._colw:
+    if l not in state._sup:
         return DefiningMatrix(0, 0, (), anchor_k=k, anchor_l=l)
     live = list(state._live)
     f = live[0][0]
@@ -97,9 +99,12 @@ class PeriodResult:
 
     ``b_breadth`` is the largest |column - row| over ones in rows
     (pp, pp+p]; ``l_max`` the largest row length there.  ``case1`` marks
-    the restart shortcut.  ``rows_examined`` counts rows generated by
-    the detection cursor (the preperiod-minimization pass may generate
-    up to the same amount again and is not counted).
+    the restart shortcut.  ``rows_examined`` counts the rows generated by
+    the detection cursor, resumed runs included.  Rows generated by any
+    other cursor are not counted: the restart shortcut's 2p fresh rows,
+    and the fallback preperiod pass, which regenerates rows 1 through
+    k0 - 1 + p when the ring no longer reaches back to the last row-shift
+    mismatch (after a resume mid-verification, for example).
     """
 
     n: int
@@ -454,7 +459,7 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         hit = det.record(state_k, frontier)
 
         # Restart shortcut: the frontier column has no ones at all.
-        if frontier not in gen._colw:
+        if frontier not in gen._sup:
             p = state_k - 1
             fresh = new_generator(n)
             encs = [()]  # 1-based
@@ -478,9 +483,9 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                 # test inspects.
                 p = _minimize_p(encs, p)
                 b, lm = _measure(encs, 1, p + 1)
-                if k0 == 1:
-                    return finish(0, p, b, lm, False)
-                pp = _minimize_pp(n, k0, p)
+                pp = _pp_from_ring(ring, k0, p)
+                if pp is None:
+                    pp = _minimize_pp(n, k0, p)
                 return finish(pp, p, b, lm, False)
             continue  # fingerprint collision; keep scanning
 
@@ -492,8 +497,22 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         ring.pin = hit
 
 
+def _pp_from_ring(ring: _Ring, k0: int, p: int) -> int | None:
+    """Largest i < k0 where the row-shift identity fails (0 if none),
+    read from the ring, which must hold rows ``ring.first`` through
+    k0 - 1 + p; None when the ring starts after row 1 and shows no
+    failure."""
+    buf = ring.buf
+    first = ring.first
+    for i in range(k0 - 1, first - 1, -1):
+        if buf[i - first] != buf[i + p - first]:
+            return i
+    return 0 if first == 1 else None
+
+
 def _minimize_pp(n: int, k0: int, p: int) -> int:
-    """Largest i < k0 where the row-shift identity fails (0 if none)."""
+    """Largest i < k0 where the row-shift identity fails (0 if none),
+    from a fresh cursor: the fallback of :func:`_pp_from_ring`."""
     gen = new_generator(n)
     recent: deque[tuple[int, ...]] = deque(maxlen=p)
     last_fail = 0

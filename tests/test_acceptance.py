@@ -16,6 +16,7 @@ import pytest
 
 from _dense import dense_rows, find_rectangle_oracle
 from _invariants import sweep_invariants
+from _marks import needs_extended
 from rectfree import (
     BudgetExhaustedError,
     Checkpoint,
@@ -41,10 +42,6 @@ from rectfree import (
     save_checkpoint,
     verify_configuration,
 )
-
-needs_extended = pytest.mark.skipif(
-    os.environ.get("RECTFREE_EXTENDED") != "1",
-    reason="multi-minute run: set RECTFREE_EXTENDED=1 to enable")
 
 
 def as_config(matrix, n) -> Configuration:
@@ -123,8 +120,7 @@ class TestOrderFiveExtended:
     def test_long_preperiod_plane(self):
         started = time.perf_counter()
         result = detect_period(5, 8_000_000)
-        assert result.p == 31, result
-        assert result.pp >= 5_652_533, result
+        assert (result.pp, result.p) == (5_652_613, 31), result
         params = FoldParams.for_period(result, m=1)
         assert params.p_bar == 31
         breadth_ok, length_ok = hypothesis_status(result, params)

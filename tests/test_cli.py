@@ -1,13 +1,15 @@
 """End-to-end command-line behavior: outputs, exit codes, resume."""
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from rectfree import (IncidenceMatrix, InvariantViolationError,
-                      load_checkpoint, save_checkpoint)
+                      generate_prefix, load_checkpoint, save_checkpoint)
 from rectfree import cli
 from rectfree.period import _Detector
 from rectfree.cli import (
@@ -122,6 +124,44 @@ class TestGen:
                      str(ckpt), "--progress-every", "0"])
         assert code == EXIT_USAGE
         assert "order 2, not 3" in capsys.readouterr().err
+
+    def test_each_row_is_saved_at_most_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        saved = []
+        original = cli.save_checkpoint
+
+        def counting(checkpoint, path):
+            saved.append(checkpoint.rows_emitted)
+            return original(checkpoint, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", counting)
+        base = ["gen", "-n", "2", "--out", str(tmp_path / "a.rows"),
+                "--checkpoint", str(tmp_path / "a.ckpt"),
+                "--progress-every", "0"]
+        assert main(base + ["--rows", "30",
+                            "--checkpoint-every-rows", "10"]) == EXIT_OK
+        assert saved == [10, 20, 30]
+        assert main(base + ["--rows", "35",
+                            "--checkpoint-every-rows", "10"]) == EXIT_OK
+        assert saved == [10, 20, 30, 35]
+        assert main(base + ["--rows", "38", "--checkpoint-every-rows",
+                            "1000", "--checkpoint-every-seconds",
+                            "1e-9"]) == EXIT_OK
+        assert saved == [10, 20, 30, 35, 36, 37, 38]
+        # A target already reached still rewrites the checkpoint once.
+        assert main(base + ["--rows", "38"]) == EXIT_OK
+        assert saved == [10, 20, 30, 35, 36, 37, 38, 38]
+        assert (tmp_path / "a.rows").read_text(encoding="ascii") == \
+            "".join(f"{r.index}\t{','.join(map(str, r.ones))}\n"
+                    for r in generate_prefix(2, 38))
+
+    def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
+        out = tmp_path / "a.rows"
+        assert main(["gen", "-n", "3", "--rows", "2000", "--out", str(out),
+                     "--progress-every", "1e-9"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "gen n=3: " in captured.err and "rows/s" in captured.err
+        assert captured.out == f"rows: 2000\nrow log: {out}\n"
 
     def test_env_var_names_the_default_checkpoint(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -352,6 +392,90 @@ def run_cli(argv, timeout=30):
     return subprocess.run([sys.executable, "-m", "rectfree"] + argv,
                           capture_output=True, text=True, timeout=timeout,
                           env=env)
+
+
+class TestOneWriter:
+    """A run holds its checkpoint and row log; a second writer exits 2
+    at once and touches neither file."""
+
+    @staticmethod
+    def gen_argv(tmp_path, rows, log="w.rows", ckpt="w.ckpt"):
+        return ["gen", "-n", "6", "--rows", str(rows), "--out",
+                str(tmp_path / log), "--checkpoint", str(tmp_path / ckpt),
+                "--checkpoint-every-rows", "5000", "--progress-every", "0"]
+
+    @staticmethod
+    def hold(path):
+        fcntl = pytest.importorskip("fcntl")
+        fd = os.open(path, os.O_RDONLY | os.O_CREAT)
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fd
+
+    def test_two_gen_processes_on_one_log(self, tmp_path, capsys):
+        pytest.importorskip("fcntl")
+        log = tmp_path / "w.rows"
+        env = {k: v for k, v in os.environ.items()
+               if k != "RECTFREE_CHECKPOINT_DIR"}
+        first = subprocess.Popen(
+            [sys.executable, "-m", "rectfree"]
+            + self.gen_argv(tmp_path, 60_000),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            while first.poll() is None and \
+                    (not log.exists() or log.stat().st_size == 0):
+                time.sleep(0.005)
+            first.send_signal(signal.SIGSTOP)  # hold it mid-run
+            assert first.poll() is None, "the first run ended too soon"
+            ckpt = tmp_path / "w.ckpt"
+            before = (log.read_bytes(),
+                      ckpt.read_bytes() if ckpt.exists() else None)
+            second = run_cli(self.gen_argv(tmp_path, 60_000))
+            assert second.returncode == EXIT_USAGE, second.stderr
+            assert f"checkpoint {ckpt} is in use" in second.stderr
+            assert (log.read_bytes(),
+                    ckpt.read_bytes() if ckpt.exists() else None) == before
+        finally:
+            first.send_signal(signal.SIGCONT)
+            out, err = first.communicate(timeout=120)
+        assert first.returncode == EXIT_OK, err
+        assert main(self.gen_argv(tmp_path, 60_000, "ref.rows", "ref.ckpt")) \
+            == EXIT_OK
+        assert log.read_bytes() == (tmp_path / "ref.rows").read_bytes()
+        assert (tmp_path / "w.ckpt").read_bytes() == \
+            (tmp_path / "ref.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["gen", "period"])
+    def test_busy_checkpoint_is_left_alone(self, tmp_path, capsys, kind):
+        argv = (self.gen_argv(tmp_path, 300) if kind == "gen" else
+                ["period", "-n", "6", "--max-rows", "300", "--checkpoint",
+                 str(tmp_path / "w.ckpt"), "--progress-every", "0"])
+        expected = EXIT_OK if kind == "gen" else EXIT_BUDGET
+        assert main(argv) == expected
+        capsys.readouterr()
+        files = sorted(tmp_path.iterdir())
+        before = [f.read_bytes() for f in files]
+        fd = self.hold(tmp_path / "w.ckpt.lock")
+        try:
+            assert main(argv[:4] + ["600"] + argv[5:]) == EXIT_USAGE
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        assert f"checkpoint {tmp_path / 'w.ckpt'} is in use" in err
+        assert sorted(tmp_path.iterdir()) == files
+        assert [f.read_bytes() for f in files] == before
+        assert main(argv[:4] + ["600"] + argv[5:]) == expected
+
+    def test_busy_row_log_is_left_alone(self, tmp_path, capsys):
+        log = tmp_path / "w.rows"
+        log.write_bytes(b"1\t1,2\n")  # not a valid order-6 log either
+        fd = self.hold(log)
+        try:
+            assert main(self.gen_argv(tmp_path, 300)) == EXIT_USAGE
+        finally:
+            os.close(fd)
+        assert f"row log {log} is in use" in capsys.readouterr().err
+        assert log.read_bytes() == b"1\t1,2\n"
+        assert not (tmp_path / "w.ckpt").exists()
 
 
 CADENCE_REFUSALS = [("--checkpoint-every-rows", "0"),

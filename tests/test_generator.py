@@ -7,6 +7,8 @@ from rectfree import (GeneratorState, InvalidParameterError, MAX_ORDER,
                       length_bound, new_generator, next_row, parse_row_line)
 
 from _dense import dense_rows, find_rectangle_oracle, galfs_oracle
+from _kernel_oracle import naive_oracle, new_oracle
+from _marks import needs_extended
 
 A1_12 = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6),
          (7, 8), (7, 9), (8, 9), (10, 11), (10, 12), (11, 12)]
@@ -213,3 +215,94 @@ class TestGalfs:
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvalidParameterError):
             compute_galfs(bad)
+
+
+def _assert_same_state(state, oracle, where):
+    assert state.frontier_l == oracle.frontier_l, where
+    assert state.next_k == oracle.next_k, where
+    assert state.rows_emitted == oracle.rows_emitted, where
+    assert state.col_weight == oracle.col_weight, where
+    assert state.live_rows == oracle.live_rows, where
+
+
+def _assert_supports_well_formed(state, where):
+    for c, s in state._sup.items():
+        if s != 1:
+            assert not s & 1, (where, c)
+            assert s.bit_count() < state.col_cap, (where, c)
+
+
+def _lockstep(state, oracle, rows, *, check_supports=False):
+    """Advance both cursors ``rows`` times, comparing after every row."""
+    for _ in range(rows):
+        got, want = state._advance(), oracle._advance()
+        assert got == want, want[0]
+        _assert_same_state(state, oracle, want[0])
+        if check_supports:
+            _assert_supports_well_formed(state, want[0])
+
+
+def _first_rebase_row(state) -> int:
+    """Rows a fresh cursor emits before its first rebase."""
+    return 2 * state._keep - 1
+
+
+class TestKernelOracle:
+    """The one-dict kernel against the two-dict kernel it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16])
+    def test_square_construction(self, n):
+        state, oracle = new_generator(n), new_oracle(n)
+        # Past the first rebase for n <= 10; order 16 closes its period
+        # (273 rows) long before its first rebase.
+        rows = 600 if n == 16 else _first_rebase_row(state) + 400
+        _lockstep(state, oracle, rows)
+
+    @pytest.mark.parametrize("caps", [(1, 4), (4, 1), (2, 3), (3, 2),
+                                      (5, 3)])
+    def test_generic_caps(self, caps):
+        k, r = caps
+        oracle = naive_oracle(k, r)
+        state = GeneratorState(params=None, row_cap=k, col_cap=r,
+                               max_len=oracle.max_len)
+        _lockstep(state, oracle, 2_000)
+        fresh = naive_oracle(k, r)
+        assert [row.ones for row in generate_naive(k, r, 300)] == \
+            [fresh._advance()[1] for _ in range(300)]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_clone_and_snapshot_across_a_rebase(self, n):
+        state, oracle = new_generator(n), new_oracle(n)
+        first = _first_rebase_row(state)
+        for fork_at in (first - 2, first, first + 3):
+            _lockstep(state, oracle, fork_at - state.rows_emitted)
+            twin = state.clone()
+            restored = GeneratorState.from_snapshot(
+                n=n, next_k=state.next_k, frontier_l=state.frontier_l,
+                rows_emitted=state.rows_emitted, live_rows=state.live_rows)
+            _assert_same_state(restored, oracle, fork_at)
+            for fork in (twin, restored):
+                _lockstep(fork, oracle.clone(), state._keep + 5)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 6])
+    def test_supports_leave_bit_zero_to_the_sentinel(self, n):
+        state, oracle = new_generator(n), new_oracle(n)
+        _lockstep(state, oracle, _first_rebase_row(state) + 200,
+                  check_supports=True)
+
+    @pytest.mark.parametrize("caps", [(4, 1), (3, 2), (5, 3)])
+    def test_generic_supports_leave_bit_zero_to_the_sentinel(self, caps):
+        k, r = caps
+        oracle = naive_oracle(k, r)
+        state = GeneratorState(params=None, row_cap=k, col_cap=r,
+                               max_len=oracle.max_len)
+        _lockstep(state, oracle, 700, check_supports=True)
+
+    @needs_extended
+    def test_million_rows_of_order_six(self):
+        state, oracle = new_generator(6), new_oracle(6)
+        for row in range(1, 1_000_001):
+            assert state._advance() == oracle._advance(), row
+            assert state.frontier_l == oracle.frontier_l, row
+            if row % 10_000 == 0:
+                _assert_same_state(state, oracle, row)

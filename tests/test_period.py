@@ -5,7 +5,9 @@ from rectfree import (BudgetExhaustedError, InvalidParameterError,
                       PeriodResult, defining_matrix, detect_period,
                       generate_prefix, minimal_fold_multiplier,
                       new_generator)
-from rectfree.period import DEFAULT_WINDOW
+from rectfree import period
+from rectfree.period import (DEFAULT_WINDOW, _minimize_pp, _pp_from_ring,
+                             _Ring)
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
@@ -193,3 +195,62 @@ class TestFoldMultiplier:
                            case1=False, rows_examined=0)
         # need 3m >= 16  ->  m = 6
         assert minimal_fold_multiplier(res) == 6
+
+
+def _encodings(n: int, rows: int) -> list[tuple[int, ...]]:
+    """Diagonal encodings of rows 1..rows, 1-based (index 0 unused)."""
+    gen = new_generator(n)
+    encs = [()]
+    for _ in range(rows):
+        k, ones = gen._advance()
+        encs.append(tuple(j - k for j in ones))
+    return encs
+
+
+class TestPreperiodFromRing:
+    """pp read from the detector ring against the from-scratch pass."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_ring_scan_agrees_with_the_fresh_pass(self, n):
+        p_true = {3: 16}.get(n, n * n + n + 1)
+        encs = _encodings(n, 4 * p_true + 120)
+        cases = [(k0, p) for p in (p_true, 5, 2 * p_true)
+                 for k0 in (1, 2, 30, 49, 60, 2 * p_true + 3)
+                 if k0 - 1 + p < len(encs)]
+        for k0, p in cases:
+            want = _minimize_pp(n, k0, p)
+            for first in sorted({1, 2, max(1, want - 1), max(1, want),
+                                 want + 1, k0}):
+                if first > k0:
+                    continue
+                ring = _Ring(10 ** 6, first, encs[first:])
+                got = _pp_from_ring(ring, k0, p)
+                if first == 1 or first <= want:
+                    assert got == want, (k0, p, first)
+                else:
+                    assert got is None, (k0, p, first)
+
+    @pytest.mark.parametrize("window", [16, 17, 20, 31, 64, 1000,
+                                        DEFAULT_WINDOW])
+    def test_detection_takes_pp_from_the_ring(self, window, monkeypatch):
+        calls = []
+        monkeypatch.setattr(period, "_minimize_pp",
+                            lambda *a: calls.append(a) or _minimize_pp(*a))
+        res = detect_period(3, 10_000, window=window)
+        assert (res.pp, res.p, res.rows_examined) == (48, 16, 140)
+        assert calls == []
+
+    def test_a_trimmed_ring_falls_back_to_the_fresh_pass(self, monkeypatch):
+        # Budget out mid-verification: the snapshot's ring starts at the
+        # candidate's k0 = 55, past the last mismatch at row 48.
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 130, window=16)
+        snap = info.value.resume.detector
+        assert snap.candidate == (55, 16)
+        assert snap.ring_first == 55
+        calls = []
+        monkeypatch.setattr(period, "_minimize_pp",
+                            lambda *a: calls.append(a) or _minimize_pp(*a))
+        res = detect_period(3, 10_000, window=16, resume=info.value.resume)
+        assert res == detect_period(3, 10_000, window=16)
+        assert calls == [(3, 55, 16)]
