@@ -48,12 +48,11 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
 from .generator import GeneratorState, MAX_ORDER, parse_row_line
-from .period import DetectorSnapshot, ResumeState
+from .period import TYPECODES, DetectorSnapshot, ResumeState
 
 MAGIC = b"RFCKPT"
 FORMAT_VERSION = 2
@@ -70,14 +69,24 @@ _Q = struct.Struct("<Q")   # unsigned 64-bit
 _SQ = struct.Struct("<q")  # signed 64-bit
 _I = struct.Struct("<I")   # unsigned 32-bit
 _HDR = struct.Struct("<6sH")
-_TYPECODES = {array(code).itemsize: code for code in "qlihb"}
+
+
+_ROW_FORMATS: dict[int, bytes] = {}  # ones per row -> b"%d\t%d,...,%d\n"
+
+
+def row_line(index: int, ones) -> bytes:
+    """The :func:`~rectfree.generator.format_row_line` text of a row and
+    its newline, as ASCII bytes: the row log's line."""
+    fmt = _ROW_FORMATS.get(len(ones))
+    if fmt is None:
+        fmt = _ROW_FORMATS[len(ones)] = \
+            b"%d\t" + b",".join([b"%d"] * len(ones)) + b"\n"
+    return fmt % (index, *ones)
 
 
 def chain_row_hash(digest: bytes, index: int, ones) -> bytes:
     """Absorb one emitted row into the running row-log chain hash."""
-    # The format_row_line text and its newline, built in one step.
-    line = f"{index}\t{','.join(map(str, ones))}\n"
-    return hashlib.sha256(digest + line.encode("ascii")).digest()
+    return hashlib.sha256(digest + row_line(index, ones)).digest()
 
 
 @dataclass(frozen=True)
@@ -153,14 +162,22 @@ def _enc_ints(*values: int) -> bytes:
 def _enc_offsets(offsets) -> bytes:
     return _I.pack(len(offsets)) + b"".join(_SQ.pack(o) for o in offsets)
 
-def _enc_packed(values) -> bytes:
-    """Width, byte length and elements of the narrowest signed packing."""
+def _enc_packed(values: array) -> bytes:
+    """Width, byte length and elements of the narrowest signed packing.
+
+    ``values`` may be wider than its elements need (a ring widens for a
+    value that has since been trimmed); it is then repacked narrower."""
     for width in (1, 2, 4, 8):
-        try:
-            packed = array(_TYPECODES[width], values)
-        except OverflowError:
-            continue
+        code = TYPECODES[width]
+        if values.typecode == code:
+            packed = values
+        else:
+            try:
+                packed = array(code, values)
+            except OverflowError:
+                continue
         if sys.byteorder == "big":
+            packed = array(code, packed)  # never swap the caller's array
             packed.byteswap()
         blob = packed.tobytes()
         return _Q.pack(width) + _Q.pack(len(blob)) + blob
@@ -186,12 +203,11 @@ def _encode(cp: Checkpoint) -> list[bytes]:
             raise InvalidParameterError(
                 "a detector snapshot without lags (format 1) cannot be "
                 "written")
-        offsets = list(chain.from_iterable(snap.ring))
-        if len(offsets) != len(snap.ring) * (cp.n + 1):
+        if len(snap.ring) != len(snap.lags) * (cp.n + 1):
             raise InvalidParameterError(
                 f"every ring row must hold {cp.n + 1} offsets")
-        det.append(_enc_ints(snap.window, snap.ring_first, len(snap.ring)))
-        det.append(_enc_packed(offsets))
+        det.append(_enc_ints(snap.window, snap.ring_first, len(snap.lags)))
+        det.append(_enc_packed(snap.ring))
         det.append(_enc_packed(snap.lags))
         if snap.candidate is None:
             det.append(_Q.pack(0))
@@ -235,7 +251,7 @@ class _Reader:
     def packed(self, count: int) -> array:
         """Signed integers packed by width; there must be ``count``."""
         width = self.u64()
-        code = _TYPECODES.get(width)
+        code = TYPECODES.get(width)
         if code is None:
             raise CorruptCheckpointError(
                 f"packed element width {width} is not 1, 2, 4 or 8")
@@ -289,14 +305,15 @@ def _decode(records: list[bytes], version: int) -> Checkpoint:
         d_r = _Reader(records[5])
         window, ring_first, ring_len = d_r.u64(), d_r.u64(), d_r.u64()
         if version == 1:
-            ring = tuple(d_r.offsets() for _ in range(ring_len))
+            ring = array("q")
+            for _ in range(ring_len):
+                ring.extend(d_r.offsets())
             for _ in range(d_r.u64()):  # the table, rebuilt instead
                 d_r.take(40)
             lags = None
         else:
-            flat = iter(d_r.packed(ring_len * (n + 1)))
-            ring = tuple(zip(*[flat] * (n + 1)))
-            lags = tuple(d_r.packed(ring_len))
+            ring = d_r.packed(ring_len * (n + 1))
+            lags = d_r.packed(ring_len)
         cand_flag = d_r.u64()
         if cand_flag == 0:
             candidate = None
@@ -466,8 +483,7 @@ class RowLog:
         self.row_hash = bytes(row_hash) if offset else EMPTY_ROW_HASH
 
     def append(self, index: int, ones) -> None:
-        # The format_row_line text and its newline, built in one step.
-        line = f"{index}\t{','.join(map(str, ones))}\n".encode("ascii")
+        line = row_line(index, ones)
         self._fh.write(line)
         self.row_hash = hashlib.sha256(self.row_hash + line).digest()
         self.offset += len(line)

@@ -38,10 +38,12 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from hashlib import sha256
 
-from .checkpoint import (Checkpoint, EMPTY_ROW_HASH, RowLog, chain_row_hash,
-                         exclusive_lock, iter_row_log, load_checkpoint,
+from .checkpoint import (Checkpoint, EMPTY_ROW_HASH, RowLog, exclusive_lock,
+                         iter_row_log, load_checkpoint, row_line,
                          save_checkpoint)
+from .checkpoint import chain_row_hash  # noqa: F401  (kept importable here)
 from .errors import (BudgetExhaustedError, CheckpointError,
                      ConstraintViolationError, InvalidParameterError,
                      InvariantViolationError, SizeLimitError)
@@ -145,10 +147,9 @@ class _StdoutSink:
         self.row_hash = row_hash
 
     def append(self, index: int, ones) -> None:
-        # The format_row_line text and its newline, built in one step.
-        line = f"{index}\t{','.join(map(str, ones))}\n"
-        sys.stdout.write(line)
-        self.row_hash = chain_row_hash(self.row_hash, index, ones)
+        line = row_line(index, ones)
+        sys.stdout.write(line.decode("ascii"))
+        self.row_hash = sha256(self.row_hash + line).digest()
         self.offset += len(line)
 
     def sync(self) -> None:

@@ -29,13 +29,16 @@ k-1, so pp = 0 and p = k-1 immediately (``case1`` in the result).
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import sub
 from time import monotonic
 
 from .errors import (BudgetExhaustedError, CorruptCheckpointError,
                      InvalidParameterError, InvariantViolationError)
-from .generator import GeneratorState, new_generator
+from .generator import GeneratorState, Params, new_generator
 
 #: Default number of recent states kept for recurrence detection.  A
 #: cycle is only detectable while it fits in the window; raise via the
@@ -129,20 +132,23 @@ def minimal_fold_multiplier(result: PeriodResult) -> int:
 class DetectorSnapshot:
     """Plain-data image of the detector, for checkpointing.
 
-    ``ring`` holds the diagonal encodings (one-columns minus the row
-    index) of the rows from ``ring_first`` through the last row
-    generated, and ``lags[t]`` is k - l(k) for the state k after row
-    ``ring_first + t``.  The fingerprint table is not stored: restoring
-    replays the ring, which reaches back ``window + sigma + 1`` rows so
-    that every state inside the table's horizon gets its full live
-    window.  ``lags`` is None for a snapshot read from a format-1
-    checkpoint, which stored the table instead; such a snapshot resumes
-    with an empty table, which can only delay detection.
+    ``ring`` is one flat array of the diagonal offsets (one-columns
+    minus the row index, n + 1 per row) of the rows from ``ring_first``
+    through the last row generated, and ``lags[t]`` is k - l(k) for the
+    state k after row ``ring_first + t``: the same packed layout the
+    detector keeps in memory, as signed arrays of any width.  The
+    fingerprint table is not stored: restoring replays the ring, which
+    reaches back ``window + sigma + 1`` rows so that every state inside
+    the table's horizon gets its full live window.  ``lags`` is None for
+    a snapshot read from a format-1 checkpoint, which stored the table
+    instead; such a snapshot resumes with an empty table, which can only
+    delay detection.
 
     :func:`detect_period` takes snapshots from its live detector, both
     for in-loop checkpoints and when the budget runs out, and goes on
     detecting; a process replays a snapshot only once, when it resumes
-    from one.
+    from one.  Restoring copies the arrays, so one snapshot can seed any
+    number of runs.
 
     ``candidate`` preserves an in-flight verification — the ``(k0, p)``
     recurrence being checked when the budget ran out — so that resuming
@@ -155,8 +161,8 @@ class DetectorSnapshot:
 
     window: int
     ring_first: int
-    ring: tuple[tuple[int, ...], ...]
-    lags: tuple[int, ...] | None
+    ring: array
+    lags: array | None
     candidate: tuple[int, int] | None = None  # (k0, p) mid-verification
 
 
@@ -168,36 +174,70 @@ class ResumeState:
     detector: DetectorSnapshot
 
 
-class _Ring:
-    """Encodings and state lags of the last ~maxlen rows, O(1) access.
+#: Signed array typecodes by element width in bytes.
+TYPECODES = {array(code).itemsize: code for code in "qlihb"}
 
-    Rows at or after ``pin`` are never trimmed: they hold the
-    verification in flight.
+
+def _widened(values: array, more: list[int]) -> array:
+    """``values`` followed by ``more`` in the narrowest wider array that
+    holds them all."""
+    for width in (2, 4, 8):
+        if width > values.itemsize:
+            wide = array(TYPECODES[width], values)
+            try:
+                wide.fromlist(more)
+            except OverflowError:
+                continue
+            return wide
+    raise OverflowError("a detector value does not fit in 8 bytes")
+
+
+class _Ring:
+    """Diagonal offsets and state lags of the last ~maxlen rows, packed.
+
+    ``offs`` holds ``width`` offsets per row and ``lags`` one lag per
+    row, each in a signed array that starts one byte wide and widens
+    (2, 4, then 8 bytes) when a value does not fit, keeping every row.
+    Row i starts at ``offs[(i - first) * width]``.  Rows at or after
+    ``pin`` are never trimmed: they hold the verification in flight.
     """
 
-    __slots__ = ("maxlen", "first", "buf", "lags", "pin")
+    __slots__ = ("maxlen", "width", "first", "offs", "lags", "pin")
 
-    def __init__(self, maxlen: int, first: int = 1, buf=(), lags=()):
+    def __init__(self, maxlen: int, width: int, first: int = 1,
+                 offs: array | None = None, lags: array | None = None):
         self.maxlen = maxlen
-        self.first = first  # row index of buf[0]
-        self.buf: list[tuple[int, ...]] = list(buf)
-        self.lags: list[int] = list(lags)
+        self.width = width
+        self.first = first  # row index of the first row held
+        self.offs = array("b") if offs is None else offs
+        self.lags = array("b") if lags is None else lags
         self.pin: int | None = None
 
-    def append(self, enc: tuple[int, ...], lag: int) -> None:
-        buf = self.buf
-        buf.append(enc)
-        self.lags.append(lag)
-        if len(buf) > self.maxlen + (self.maxlen >> 1):
-            cut = len(buf) - self.maxlen
+    def append(self, offs: list[int], lag: int) -> None:
+        try:
+            self.offs.fromlist(offs)  # all or nothing
+        except OverflowError:
+            self.offs = _widened(self.offs, offs)
+        lags = self.lags
+        try:
+            lags.append(lag)
+        except OverflowError:
+            self.lags = lags = _widened(lags, [lag])
+        if len(lags) > self.maxlen + (self.maxlen >> 1):
+            cut = len(lags) - self.maxlen
             if self.pin is not None:
                 cut = min(cut, self.pin - self.first)
-            del buf[:cut]
-            del self.lags[:cut]
+            del self.offs[:cut * self.width]
+            del lags[:cut]
             self.first += cut
 
     def covers(self, row: int) -> bool:
-        return self.first <= row < self.first + len(self.buf)
+        return self.first <= row < self.first + len(self.lags)
+
+    def rows(self, lo: int, hi: int) -> array:
+        """The offsets of rows lo .. hi - 1, as one flat array."""
+        w = self.width
+        return self.offs[(lo - self.first) * w:(hi - self.first) * w]
 
 
 class _Detector:
@@ -205,22 +245,26 @@ class _Detector:
 
     Every state is recorded, so the table is a pure function of the
     rows in the ring: :meth:`restore` rebuilds it by replaying them.
-    The table maps a key to the last state row k that had it; ``ages``
-    holds the keys of the last ``window`` states in order, so the k of
-    ``ages[0]`` is the newest k minus ``len(ages) - 1``.
+    A state's key is one int, ``poly | live << 61 | (k - l) << 81``:
+    the rolling hash (below 2**61), the live row count (at most
+    sigma + 1, below 2**20) and the frontier lag, so two states with the
+    same key have the same lag.  The table maps a key to the last state
+    row k that had it; ``ages`` holds the keys of the last ``window``
+    states in order, so the k of ``ages[0]`` is the newest k minus
+    ``len(ages) - 1``.
     """
 
     __slots__ = ("window", "sigma", "table", "ages", "ring", "deq", "poly",
                  "pows")
 
-    def __init__(self, window: int, sigma: int):
+    def __init__(self, window: int, params: Params):
         self.window = window
-        self.sigma = sigma
-        # fingerprint key (poly, live rows, k - l) -> last state row k
-        self.table: dict[tuple[int, int, int], int] = {}
-        self.ages: deque[tuple[int, int, int]] = deque()
+        self.sigma = params.sigma
+        # fingerprint key -> last state row k
+        self.table: dict[int, int] = {}
+        self.ages: deque[int] = deque()
         # sigma extra rows give the oldest state in the table its window.
-        self.ring = _Ring(window + 1 + sigma)
+        self.ring = _Ring(window + 1 + self.sigma, params.n + 1)
         # live-window mirror: (last one-column, hash term) per live row;
         # poly = sum of term * B^(rows after it), pows[d] = B^d.
         self.deq: deque[tuple[int, int]] = deque()
@@ -246,7 +290,7 @@ class _Detector:
         """Enter state (k, l), the state after the last recorded one;
         return the state row k0 its key held before.  The key fixes
         k - l, so l0 = k0 - (k - l)."""
-        key = (self.poly, len(self.deq), k - l)
+        key = self.poly | len(self.deq) << 61 | (k - l) << 81
         table = self.table
         hit = table.get(key)
         table[key] = k
@@ -261,15 +305,15 @@ class _Detector:
     def snapshot(self, candidate: tuple[int, int] | None = None
                  ) -> DetectorSnapshot:
         ring = self.ring
-        start = ring.first + len(ring.buf) - 1 - self.window - self.sigma
+        start = ring.first + len(ring.lags) - 1 - self.window - self.sigma
         if candidate is not None:
             start = min(start, candidate[0])
         cut = max(0, start - ring.first)
         return DetectorSnapshot(
             window=self.window,
             ring_first=ring.first + cut,
-            ring=tuple(ring.buf[cut:]),
-            lags=tuple(ring.lags[cut:]),
+            ring=ring.offs[cut * ring.width:],
+            lags=ring.lags[cut:],
             candidate=candidate,
         )
 
@@ -281,7 +325,7 @@ class _Detector:
         if snap.window < 4:
             raise CorruptCheckpointError(
                 f"detector window {snap.window} is below 4")
-        det = cls(snap.window, gen.params.sigma)
+        det = cls(snap.window, gen.params)
         end = gen.next_k
         lo = end  # first replayed row
         if snap.lags is None:
@@ -302,17 +346,21 @@ class _Detector:
     def _replay(self, snap: DetectorSnapshot, end: int) -> int:
         """Rebuild ring, window and table from ``snap``; returns the
         first replayed row."""
-        first, ring, lags = snap.ring_first, snap.ring, snap.lags
-        if len(lags) != len(ring) or first + len(ring) != end:
+        first, offs, lags = snap.ring_first, snap.ring, snap.lags
+        w = self.ring.width
+        if len(offs) != len(lags) * w or first + len(lags) != end:
             raise CorruptCheckpointError(
-                f"detector ring of {len(ring)} rows from row {first} does "
-                f"not end at the generator's row {end - 1}")
+                f"detector ring of {len(offs)} offsets and {len(lags)} "
+                f"lags from row {first} does not hold {w} offsets per row "
+                f"through the generator's row {end - 1}")
         if snap.candidate is not None:
             k0, p = snap.candidate
             if not (first <= k0 and 1 <= p <= self.window and k0 + p <= end):
                 raise CorruptCheckpointError(
                     f"candidate ({k0}, {p}) lies outside the detector ring")
-        self.ring = _Ring(self.ring.maxlen, first, ring, lags)
+        self.ring = _Ring(self.ring.maxlen, w, first,
+                          array(offs.typecode, offs),
+                          array(lags.typecode, lags))
         sigma = self.sigma
         lo = max(first, end - 1 - self.window - sigma)
         # A state's live window lies within sigma rows before it, so it is
@@ -320,8 +368,9 @@ class _Detector:
         rec = max(end - self.window + 1, lo + sigma if lo > 1 else 2)
         push_row = self.push_row
         record = self.record
-        for i, enc, lag in zip(range(lo, end), ring[lo - first:],
-                               lags[lo - first:]):
+        flat = islice(offs, (lo - first) * w, None)
+        for i, enc, lag in zip(range(lo, end), zip(*[flat] * w),
+                               islice(lags, lo - first, None)):
             k = i + 1
             l = k - lag
             push_row(i + enc[-1], enc, l)
@@ -334,24 +383,22 @@ def _proper_divisors(p: int) -> list[int]:
     return [d for d in range(1, p) if p % d == 0]
 
 
-def _measure(encs, lo: int, hi: int) -> tuple[int, int]:
-    """(b_breadth, l_max) over encs[lo:hi] (diagonal offsets per row)."""
-    b = lm = 0
-    for enc in encs[lo:hi]:
-        hib = max(abs(enc[0]), abs(enc[-1]))
-        if hib > b:
-            b = hib
-        length = enc[-1] - enc[0] + 1
-        if length > lm:
-            lm = length
-    return b, lm
+def _measure(ring: _Ring, lo: int, hi: int) -> tuple[int, int]:
+    """(b_breadth, l_max) over rows lo .. hi - 1 of ``ring`` (lo < hi)."""
+    w = ring.width
+    offs = ring.rows(lo, hi)
+    firsts, lasts = offs[::w], offs[w - 1::w]
+    b = max(max(firsts), -min(firsts), max(lasts), -min(lasts))
+    return b, max(map(sub, lasts, firsts)) + 1
 
 
-def _minimize_p(encs, p: int) -> int:
-    """Shrink p to its smallest divisor that already shifts the window."""
+def _minimize_p(ring: _Ring, k0: int, p: int) -> int:
+    """Shrink p to its smallest divisor that already shifts the window
+    of rows k0 + 1 .. k0 + p; the ring must hold rows through k0 + 2p."""
     while True:
         for cand in _proper_divisors(p):
-            if all(encs[t] == encs[t + cand] for t in range(1, p + 1)):
+            if ring.rows(k0 + 1, k0 + p + 1) == \
+                    ring.rows(k0 + 1 + cand, k0 + p + 1 + cand):
                 p = cand
                 break
         else:
@@ -383,8 +430,11 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     a run's detector is rebuilt from a snapshot only when it resumes.
 
     The result is exact: row-shift identities are checked bit-for-bit
-    over p + sigma consecutive rows, pp is minimized by a second pass,
-    and p is minimal among all divisors.
+    over p + sigma consecutive rows, p is minimal among all divisors,
+    and pp is the last row before k0 where the identity fails.  pp is
+    read from the detector's ring; a second cursor regenerates rows from
+    row 1 only when the ring starts after that row (after a resume
+    mid-verification, whose ring starts at k0).
     """
     if max_rows < 1:
         raise InvalidParameterError(f"max_rows must be >= 1, got {max_rows}")
@@ -400,7 +450,7 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             f"{checkpoint_every_seconds}")
     if resume is None:
         gen = new_generator(n)
-        det = _Detector(window, gen.params.sigma)
+        det = _Detector(window, gen.params)
     else:
         gen = resume.generator.clone()
         if gen.params is None or gen.params.n != n:
@@ -453,20 +503,20 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             on_row(k, ones)
         state_k = gen.next_k
         frontier = gen.frontier_l
-        enc = tuple([j - k for j in ones])
+        enc = [j - k for j in ones]
         ring.append(enc, state_k - frontier)
-        det.push_row(ones[-1], enc, frontier)
+        det.push_row(ones[-1], tuple(enc), frontier)
         hit = det.record(state_k, frontier)
 
         # Restart shortcut: the frontier column has no ones at all.
         if frontier not in gen._sup:
             p = state_k - 1
             fresh = new_generator(n)
-            encs = [()]  # 1-based
+            encs = _Ring(2 * p, n + 1)  # rows 1 .. 2p; lags unused
             for _ in range(2 * p):
                 fk, fones = fresh._advance()
-                encs.append(tuple([j - fk for j in fones]))
-            p = _minimize_p(encs, p)
+                encs.append([j - fk for j in fones], 0)
+            p = _minimize_p(encs, 0, p)
             b, lm = _measure(encs, 1, p + 1)
             return finish(0, p, b, lm, True)
 
@@ -474,15 +524,13 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             k0, p = candidate
             if state_k < k0 + 2 * p + sigma:
                 continue
-            # encs[t] is row k0+t, through row k0 + 2p + sigma - 1.
-            encs = ring.buf[k0 - ring.first:]
             candidate = None
             ring.pin = None
-            if all(encs[i] == encs[i + p] for i in range(p + sigma)):
-                # Indices 1..p are the window (k0, k0+p] that the divisor
-                # test inspects.
-                p = _minimize_p(encs, p)
-                b, lm = _measure(encs, 1, p + 1)
+            # Rows k0 .. k0 + p + sigma - 1 against the rows p later.
+            if ring.rows(k0, k0 + p + sigma) == \
+                    ring.rows(k0 + p, k0 + 2 * p + sigma):
+                p = _minimize_p(ring, k0, p)
+                b, lm = _measure(ring, k0 + 1, k0 + p + 1)
                 pp = _pp_from_ring(ring, k0, p)
                 if pp is None:
                     pp = _minimize_pp(n, k0, p)
@@ -502,10 +550,11 @@ def _pp_from_ring(ring: _Ring, k0: int, p: int) -> int | None:
     read from the ring, which must hold rows ``ring.first`` through
     k0 - 1 + p; None when the ring starts after row 1 and shows no
     failure."""
-    buf = ring.buf
-    first = ring.first
+    offs, w, first = ring.offs, ring.width, ring.first
+    shift = p * w
     for i in range(k0 - 1, first - 1, -1):
-        if buf[i - first] != buf[i + p - first]:
+        a = (i - first) * w
+        if offs[a:a + w] != offs[a + shift:a + shift + w]:
             return i
     return 0 if first == 1 else None
 
@@ -514,14 +563,12 @@ def _minimize_pp(n: int, k0: int, p: int) -> int:
     """Largest i < k0 where the row-shift identity fails (0 if none),
     from a fresh cursor: the fallback of :func:`_pp_from_ring`."""
     gen = new_generator(n)
-    recent: deque[tuple[int, ...]] = deque(maxlen=p)
+    recent = _Ring(p, n + 1)  # at least rows k - p .. k - 1; lags unused
     last_fail = 0
-    limit = k0 - 1 + p
-    for k in range(1, limit + 1):
+    for k in range(1, k0 + p):
         _, ones = gen._advance()
-        enc = tuple([j - k for j in ones])
-        if k > p and k - p < k0:
-            if recent[0] != enc:
-                last_fail = k - p
-        recent.append(enc)
+        enc = [j - k for j in ones]
+        if k > p and recent.rows(k - p, k - p + 1).tolist() != enc:
+            last_fail = k - p
+        recent.append(enc, 0)
     return last_fail

@@ -1,10 +1,12 @@
 """Checkpoint files, row logs, corruption defense, crash recovery."""
+import dataclasses
 import hashlib
 import os
 import random
 import struct
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,9 @@ from rectfree import (
     new_generator,
     save_checkpoint,
 )
+from rectfree.checkpoint import _enc_packed, row_line
+from rectfree.cli import main
+from rectfree.generator import format_row_line
 from rectfree.period import _Detector
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,6 +137,18 @@ class TestRoundTrip:
 
 
 class TestRowLog:
+    @pytest.mark.parametrize("index, ones", [
+        (1, (1,)), (7, (3, 5, 6)),
+        (10 ** 9, tuple(range(10 ** 6, 10 ** 6 + 17))),
+        (12, (1, 5, 9)), (13, (2, 6))])
+    def test_row_line_is_the_format_row_line_text(self, index, ones):
+        # Templates are cached per row width; widths may change between
+        # calls.
+        assert row_line(index, ones) == \
+            (format_row_line(index, ones) + "\n").encode("ascii")
+        assert chain_row_hash(EMPTY_ROW_HASH, index, ones) == hashlib.sha256(
+            EMPTY_ROW_HASH + row_line(index, ones)).digest()
+
     def test_torn_tail_discarded_on_resume(self, saved):
         checkpoint, _, log_path = saved
         intact = log_path.read_bytes()
@@ -199,7 +216,7 @@ class TestDetectorCheckpoint:
         through ``push_row`` and ``record``, as ``detect_period`` feeds
         its live detector."""
         gen = new_generator(n)
-        ref = _Detector(window, gen.params.sigma)
+        ref = _Detector(window, gen.params)
         resume = None
         path = tmp_path / "slice.ckpt"
         for stop in stops:
@@ -223,8 +240,60 @@ class TestDetectorCheckpoint:
         path = period_checkpoint(tmp_path, 6, 3000, 1 << 17)
         loaded = load_checkpoint(str(path))
         assert loaded.format_version == 2
-        assert len(loaded.detector.ring) == len(loaded.detector.lags) == 3000
+        assert len(loaded.detector.ring) == 7 * len(loaded.detector.lags) \
+            == 7 * 3000
         assert path.stat().st_size < 3000 * (7 + 1) + 4096
+
+    @pytest.mark.parametrize("n, window, rows, width, sha", [
+        # a verification (k0, p) = (55, 16) in flight
+        (3, 16, 130, 1,
+         "6035818edf34518583e819df915d196d82eb110441145d04122c35c99ede0751"),
+        (6, None, 20_000, 1,
+         "a1631e17bff937a1c250ad75ddc70a211f28f6bb12e5b32f6413ed078552b652"),
+        (16, 64, 250, 2,
+         "70dc79d946ed6c0226c936d2cdfea69e7177e1f664c12fc432358acb7f35baa9"),
+        # the snapshot cuts the ring to window + sigma + 1 = 257 rows
+        (5, 16, 1200, 1,
+         "b609a779313bd4ddeaa82c41bbd37b40c912e216b3fc712c10336623fb1100d7"),
+    ])
+    def test_period_checkpoint_bytes_are_pinned(self, tmp_path, capsys, n,
+                                                window, rows, width, sha):
+        """``period`` writes format 2 byte for byte as it did when the
+        ring was a list of per-row tuples (the digests were taken then):
+        packing the ring in memory does not touch the file."""
+        path = tmp_path / "pin.ckpt"
+        argv = ["period", "-n", str(n), "--max-rows", str(rows),
+                "--checkpoint", str(path), "--progress-every", "0"]
+        if window is not None:
+            argv += ["--window", str(window)]
+        assert main(argv) == 3
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha
+        snap = load_checkpoint(str(path)).detector
+        assert snap.ring.itemsize == width
+        assert (snap.candidate is not None) == (n == 3)
+        assert len(snap.lags) == {3: 76, 5: 257}.get(n, rows)
+
+    def test_wide_snapshot_arrays_are_written_narrow(self, tmp_path):
+        # A ring that widened for a value it has since trimmed keeps its
+        # wide arrays; the file still holds the narrowest packing.
+        path = period_checkpoint(tmp_path, 6, 3000, 1 << 17)
+        cp = load_checkpoint(str(path))
+        snap = cp.detector
+        assert snap.ring.itemsize == snap.lags.itemsize == 1
+        wide = dataclasses.replace(cp, detector=dataclasses.replace(
+            snap, ring=array("q", snap.ring), lags=array("i", snap.lags)))
+        again = tmp_path / "wide.ckpt"
+        save_checkpoint(wide, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("code", "hiq")
+    def test_enc_packed_picks_the_narrowest_width(self, code):
+        assert _enc_packed(array(code, [-128, 0, 127])) == \
+            struct.pack("<QQ", 1, 3) + struct.pack("<3b", -128, 0, 127)
+        assert _enc_packed(array(code, [300, -2])) == \
+            struct.pack("<QQ", 2, 4) + struct.pack("<2h", 300, -2)
+        assert _enc_packed(array(code)) == struct.pack("<QQ", 1, 0)
 
     def test_version1_file_resumes(self, tmp_path):
         # Written by format version 1 (order 3, window 16, 100 rows, a

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -323,8 +324,9 @@ class TestPeriod:
                 "--progress-every", "0"]
         assert main(base + ["--max-rows", "60"]) == EXIT_BUDGET
         good = load_checkpoint(str(ckpt))
-        ring = good.detector.ring
-        bad = ring[:-1] + (tuple(o + 1 for o in ring[-1]),)
+        # Every offset of the last ring row (n + 1 = 4 of them) moves by 1.
+        bad = array(good.detector.ring.typecode, good.detector.ring)
+        bad[-4:] = array(bad.typecode, [o + 1 for o in bad[-4:]])
         save_checkpoint(dataclasses.replace(
             good, detector=dataclasses.replace(good.detector, ring=bad)),
             str(ckpt))

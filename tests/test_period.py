@@ -1,4 +1,6 @@
 """Period detection: exact results, goldens, budget/resume, callbacks."""
+import tracemalloc
+
 import pytest
 
 from rectfree import (BudgetExhaustedError, InvalidParameterError,
@@ -6,8 +8,8 @@ from rectfree import (BudgetExhaustedError, InvalidParameterError,
                       generate_prefix, minimal_fold_multiplier,
                       new_generator)
 from rectfree import period
-from rectfree.period import (DEFAULT_WINDOW, _minimize_pp, _pp_from_ring,
-                             _Ring)
+from rectfree.period import (DEFAULT_WINDOW, _Detector, _minimize_pp,
+                             _pp_from_ring, _Ring)
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
@@ -223,7 +225,9 @@ class TestPreperiodFromRing:
                                  want + 1, k0}):
                 if first > k0:
                     continue
-                ring = _Ring(10 ** 6, first, encs[first:])
+                ring = _Ring(10 ** 6, n + 1, first)
+                for enc in encs[first:]:
+                    ring.append(list(enc), 0)
                 got = _pp_from_ring(ring, k0, p)
                 if first == 1 or first <= want:
                     assert got == want, (k0, p, first)
@@ -254,3 +258,68 @@ class TestPreperiodFromRing:
         res = detect_period(3, 10_000, window=16, resume=info.value.resume)
         assert res == detect_period(3, 10_000, window=16)
         assert calls == [(3, 55, 16)]
+
+
+class TestPackedDetector:
+    """The ring packs its rows into typed arrays; the table keys are ints."""
+
+    def test_order6_detector_holds_at_most_160_bytes_per_ring_row(self):
+        # Fed as detect_period feeds its live detector, until the ring
+        # holds window + sigma + 1 rows: ring offsets and lags, the table
+        # and its ages.  A ring of per-row tuples with tuple keys held
+        # about 370 bytes per row.
+        gen = new_generator(6)
+        window = 1 << 14
+        rows = window + gen.params.sigma + 1
+        feed = []  # generated untraced: only the detector is measured
+        for _ in range(rows):
+            k, ones = gen._advance()
+            feed.append((k, ones, gen.next_k, gen.frontier_l))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            det = _Detector(window, gen.params)
+            for k, ones, state_k, frontier in feed:
+                enc = [j - k for j in ones]
+                det.ring.append(enc, state_k - frontier)
+                det.push_row(ones[-1], tuple(enc), frontier)
+                det.record(state_k, frontier)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(det.ring.lags) == rows
+        assert len(det.table) == window
+        assert held <= 160 * rows, held / rows
+
+    def test_widening_keeps_every_row(self):
+        ring = _Ring(100, 3)
+        rows = [([-1, 0, 1], 0), ([-128, 5, 127], 127),
+                ([3, 200, -7], 128),            # offsets need 2 bytes
+                ([0, 1, 2], 3),
+                ([-40_000, 0, 9], 1 << 20),      # 4 bytes for both
+                ([1, 2, 3], -1),
+                ([1 << 40, 0, 0], 5)]            # offsets need 8 bytes
+        widths = [(1, 1), (1, 1), (2, 2), (2, 2), (4, 4), (4, 4), (8, 4)]
+        for t, ((offs, lag), want) in enumerate(zip(rows, widths)):
+            ring.append(offs, lag)
+            assert (ring.offs.itemsize, ring.lags.itemsize) == want, t
+            assert ring.offs.tolist() == [o for r, _ in rows[:t + 1]
+                                          for o in r]
+            assert ring.lags.tolist() == [lag for _, lag in rows[:t + 1]]
+        assert ring.rows(4, 6).tolist() == [0, 1, 2, -40_000, 0, 9]
+        with pytest.raises(OverflowError):
+            ring.append([1 << 63, 0, 0], 0)
+        assert len(ring.offs) == 3 * len(ring.lags) == 21
+
+    def test_trimming_keeps_the_newest_rows_and_the_pin(self):
+        ring = _Ring(4, 2)
+        for i in range(1, 8):
+            ring.append([i, -i], i)
+        assert ring.first == 4  # trimmed to 4 rows at the 7th
+        assert ring.offs.tolist() == [4, -4, 5, -5, 6, -6, 7, -7]
+        ring.pin = 5
+        for i in range(8, 20):
+            ring.append([i, -i], i)
+        assert ring.first == 5 and ring.covers(5) and ring.covers(19)
+        assert ring.rows(5, 6).tolist() == [5, -5]
+        assert ring.lags.tolist() == list(range(5, 20))
