@@ -403,7 +403,8 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
                    f"(default {_DEFAULT_MAX_ROWS})")
     p.add_argument("--window", type=int, metavar="W",
                    help="recurrence window (default 2^17 rows; a resumed "
-                   "period checkpoint keeps its own)")
+                   "period checkpoint keeps its own); at n = 6 each window "
+                   "row takes about 41 bytes of memory, and 8 in a checkpoint")
 
 
 def _add_progress(p: argparse.ArgumentParser) -> None:

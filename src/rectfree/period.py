@@ -139,7 +139,9 @@ class DetectorSnapshot:
     detector keeps in memory, as signed arrays of any width.  The
     fingerprint table is not stored: restoring replays the ring, which
     reaches back ``window + sigma + 1`` rows so that every state inside
-    the table's horizon gets its full live window.  ``lags`` is None for
+    the table's horizon gets its full live window.  At n = 6 a ring row
+    takes 8 bytes here and on disk, and the detector rebuilt from it
+    about 41 bytes per window row in memory.  ``lags`` is None for
     a snapshot read from a format-1 checkpoint, which stored the table
     instead; such a snapshot resumes with an empty table, which can only
     delay detection.
@@ -240,29 +242,143 @@ class _Ring:
         return self.offs[(lo - self.first) * w:(hi - self.first) * w]
 
 
+class _Table:
+    """The recurrence table: for each fingerprint key among the last
+    ``window`` states, the newest state row k that had it.
+
+    A key is a pair of ints, ``poly`` (the rolling hash, below 2**61) and
+    ``tag``, ``live | lag << 20`` (the live row count, below 2**20, and
+    the frontier lag k - l).  ``polys`` and ``tags`` form a circular key
+    ring of ``window + 1`` cells, filled in state order from cell 0;
+    ``cell`` is the cell of the next state.  So state k never shares a
+    cell with state k - window, which it expires.  ``slots`` is a
+    linear-probing hash table of key ring cells, home slot
+    ``poly & (len(slots) - 1)``, -1 for empty: a state's row is the
+    newest row minus its distance back in the ring.  A cell takes four
+    bytes (eight for a window of 2**31 or more), so four slots per entry
+    cost what two row numbers would, and keep probe runs short.
+    Deletion shifts later entries of the probe run back into the hole
+    (Knuth, TAOCP vol. 3, 6.4, Algorithm R), so there are no tombstones.
+    The key ring grows by appending and ``slots`` by doubling, keeping at
+    least four slots per entry, so a new table holds nothing sized by its
+    window.  States must be recorded in consecutive order.
+
+    This is 16 bytes per window row in the key ring and 16 to 32 in
+    ``slots``, against about 84 for a dict and a deque of int keys.
+    """
+
+    __slots__ = ("window", "span", "polys", "tags", "cell", "slots")
+
+    def __init__(self, window: int):
+        self.window = window
+        self.span = window + 1
+        self.polys = array("q")
+        self.tags = array("q")
+        self.cell = 0
+        self.slots = array("i" if window < 1 << 31 else "q", [-1]) * 8
+
+    def reserve(self, states: int) -> None:
+        """Size ``slots`` for ``states`` more states at once, so that
+        recording them rehashes nothing."""
+        size = len(self.slots)
+        while 4 * min(len(self.polys) + states, self.window) > size:
+            size *= 2
+        if size > len(self.slots):
+            self._grow(size)
+
+    def record(self, k: int, poly: int, live: int, lag: int) -> int | None:
+        """Enter state k, the state after the last recorded one, with
+        its rolling hash, live row count and frontier lag; return the
+        state row k0 its key held before, then expire state k - window.
+        The key fixes the lag, so l0 = k0 - lag."""
+        tag = live | lag << 20
+        polys, tags, slots = self.polys, self.tags, self.slots
+        c = self.cell
+        mask = len(slots) - 1
+        i = poly & mask
+        hit = slots[i]
+        while hit >= 0:
+            if polys[hit] == poly and tags[hit] == tag:
+                break
+            i = (i + 1) & mask
+            hit = slots[i]
+        slots[i] = c
+        span = self.span
+        if c < len(polys):
+            polys[c] = poly
+            tags[c] = tag
+            c += 1
+            if c == span:
+                c = 0
+        else:
+            polys.append(poly)
+            tags.append(tag)
+            c += 1
+            if c < span:  # nothing to expire yet
+                self.cell = c
+                if 4 * c > mask + 1:  # one entry at most per state
+                    self._grow(2 * (mask + 1))
+                return None if hit < 0 else k - (c - 1 - hit) % span
+            c = 0
+        self.cell = c
+        # State k - window is in cell c: find its slot, unless a newer
+        # state with its key took it over.
+        i = polys[c] & mask
+        s = slots[i]
+        while s != c:
+            if s < 0:
+                break
+            i = (i + 1) & mask
+            s = slots[i]
+        else:
+            slots[i] = -1
+            j = (i + 1) & mask
+            s = slots[j]
+            while s >= 0:
+                # The entry at j may fill the hole at i unless its home
+                # lies cyclically in (i, j].
+                h = polys[s] & mask
+                if (h <= i or h > j) if i < j else (j < h <= i):
+                    slots[i] = s
+                    slots[j] = -1
+                    i = j
+                j = (j + 1) & mask
+                s = slots[j]
+        return None if hit < 0 else k - (c - 1 - hit) % span
+
+    def _grow(self, size: int) -> None:
+        polys = self.polys
+        slots = array(self.slots.typecode, [-1]) * size
+        mask = size - 1
+        for s in self.slots:
+            if s >= 0:
+                i = polys[s] & mask
+                while slots[i] >= 0:
+                    i = (i + 1) & mask
+                slots[i] = s
+        self.slots = slots
+
+
 class _Detector:
     """Rolling window-state fingerprints plus the recurrence table.
 
     Every state is recorded, so the table is a pure function of the
     rows in the ring: :meth:`restore` rebuilds it by replaying them.
-    A state's key is one int, ``poly | live << 61 | (k - l) << 81``:
-    the rolling hash (below 2**61), the live row count (at most
-    sigma + 1, below 2**20) and the frontier lag, so two states with the
-    same key have the same lag.  The table maps a key to the last state
-    row k that had it; ``ages`` holds the keys of the last ``window``
-    states in order, so the k of ``ages[0]`` is the newest k minus
-    ``len(ages) - 1``.
+    A state's key is the rolling hash (below 2**61), the live row count
+    (at most sigma + 1, below 2**20) and the frontier lag, so two states
+    with the same key have the same lag.  The :class:`_Table` maps a key
+    to the last state row k that had it over the last ``window`` states;
+    the state after each row is recorded in it once the row is pushed.
+    At n = 6 the detector holds about 41 bytes per window row: 8 for the
+    packed ring row, the rest the table's key ring and slots.
     """
 
-    __slots__ = ("window", "sigma", "table", "ages", "ring", "deq", "poly",
-                 "pows")
+    __slots__ = ("window", "sigma", "table", "ring", "deq", "poly", "pows")
 
     def __init__(self, window: int, params: Params):
         self.window = window
         self.sigma = params.sigma
-        # fingerprint key -> last state row k
-        self.table: dict[int, int] = {}
-        self.ages: deque[int] = deque()
+        self.table = _Table(window)
         # sigma extra rows give the oldest state in the table its window.
         self.ring = _Ring(window + 1 + self.sigma, params.n + 1)
         # live-window mirror: (last one-column, hash term) per live row;
@@ -285,22 +401,6 @@ class _Detector:
         while deq and deq[0][0] < frontier:
             poly = (poly - deq.popleft()[1] * pows[len(deq)]) % _MOD
         self.poly = poly
-
-    def record(self, k: int, l: int) -> int | None:
-        """Enter state (k, l), the state after the last recorded one;
-        return the state row k0 its key held before.  The key fixes
-        k - l, so l0 = k0 - (k - l)."""
-        key = self.poly | len(self.deq) << 61 | (k - l) << 81
-        table = self.table
-        hit = table.get(key)
-        table[key] = k
-        ages = self.ages
-        ages.append(key)
-        if len(ages) > self.window:
-            old = ages.popleft()  # the key of state k - window
-            if table[old] == k - self.window:
-                del table[old]
-        return hit
 
     def snapshot(self, candidate: tuple[int, int] | None = None
                  ) -> DetectorSnapshot:
@@ -367,7 +467,9 @@ class _Detector:
         # complete once sigma rows have been replayed (or from row 1).
         rec = max(end - self.window + 1, lo + sigma if lo > 1 else 2)
         push_row = self.push_row
-        record = self.record
+        record = self.table.record
+        deq = self.deq
+        self.table.reserve(end + 1 - rec)
         flat = islice(offs, (lo - first) * w, None)
         for i, enc, lag in zip(range(lo, end), zip(*[flat] * w),
                                islice(lags, lo - first, None)):
@@ -375,7 +477,7 @@ class _Detector:
             l = k - lag
             push_row(i + enc[-1], enc, l)
             if k >= rec:
-                record(k, l)
+                record(k, self.poly, len(deq), lag)
         return lo
 
 
@@ -407,7 +509,7 @@ def _minimize_p(ring: _Ring, k0: int, p: int) -> int:
 
 def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                   resume: ResumeState | None = None, on_row=None,
-                  log_sink=None, on_checkpoint=None,
+                  on_checkpoint=None,
                   checkpoint_every_rows: int | None = None,
                   checkpoint_every_seconds: float | None = None
                   ) -> PeriodResult:
@@ -417,9 +519,6 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     (resumed runs continue the count); exceeding it raises
     :class:`BudgetExhaustedError` carrying a :class:`ResumeState`.
     ``on_row(k, ones)`` is invoked for every detection-cursor row.
-    ``log_sink(k, ones)`` is fed a from-scratch replay of rows
-    1..pp + 2*p*m (m the minimal fold multiplier), enough to fold with
-    default parameters afterwards.
 
     ``on_checkpoint(resume)`` receives a :class:`ResumeState` (its own
     copy of the generator) between rows, once ``checkpoint_every_rows``
@@ -458,17 +557,11 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         det = _Detector.restore(resume.detector, gen)
     sigma = gen.params.sigma
     ring = det.ring
+    record, deq = det.table.record, det.deq
 
     def finish(pp: int, p: int, b: int, lm: int, case1: bool) -> PeriodResult:
-        result = PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
-                              case1=case1, rows_examined=gen.rows_emitted)
-        if log_sink is not None:
-            target = pp + 2 * p * minimal_fold_multiplier(result)
-            replay = new_generator(n)
-            for _ in range(target):
-                rk, rones = replay._advance()
-                log_sink(rk, rones)
-        return result
+        return PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
+                            case1=case1, rows_examined=gen.rows_emitted)
 
     candidate = None  # (k0, p) in verification; the ring is pinned at k0
     if resume is not None and resume.detector.candidate is not None:
@@ -503,10 +596,11 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             on_row(k, ones)
         state_k = gen.next_k
         frontier = gen.frontier_l
+        lag = state_k - frontier
         enc = [j - k for j in ones]
-        ring.append(enc, state_k - frontier)
+        ring.append(enc, lag)
         det.push_row(ones[-1], tuple(enc), frontier)
-        hit = det.record(state_k, frontier)
+        hit = record(state_k, det.poly, len(deq), lag)
 
         # Restart shortcut: the frontier column has no ones at all.
         if frontier not in gen._sup:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from _table_oracle import DictTable, packed_entries
 from rectfree import (
     BudgetExhaustedError,
     Checkpoint,
@@ -213,10 +214,14 @@ class TestDetectorCheckpoint:
         """The table rebuilt at load is, entry for entry, the table of a
         detector that saw every row without a break (n = 16 ends in the
         restart shortcut at row 273).  The reference is fed row by row
-        through ``push_row`` and ``record``, as ``detect_period`` feeds
-        its live detector."""
+        through ``push_row`` and ``table.record``, as ``detect_period``
+        feeds its live detector.  The packed tables differ in slot order and
+        key ring base, so both are read back as the key -> row map and
+        the keys of the last ``window`` states, and checked against the
+        dict table they replaced, fed the same keys."""
         gen = new_generator(n)
         ref = _Detector(window, gen.params)
+        oracle = DictTable(window)
         resume = None
         path = tmp_path / "slice.ckpt"
         for stop in stops:
@@ -228,10 +233,14 @@ class TestDetectorCheckpoint:
                 k, ones = gen._advance()
                 ref.push_row(ones[-1], tuple([j - k for j in ones]),
                              gen.frontier_l)
-                ref.record(gen.next_k, gen.frontier_l)
+                key = (ref.poly, len(ref.deq), gen.next_k - gen.frontier_l)
+                oracle.record(gen.next_k, *key)
+                ref.table.record(gen.next_k, *key)
             det = _Detector.restore(resume.detector, resume.generator)
-            assert det.table == ref.table, stop
-            assert det.ages == ref.ages, stop
+            newest = gen.next_k
+            assert packed_entries(det.table, newest) == \
+                packed_entries(ref.table, newest) == \
+                (oracle.table, oracle.ages), stop
             assert (det.poly, det.deq) == (ref.poly, ref.deq), stop
 
     def test_ring_is_packed_and_table_not_stored(self, tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, resume."""
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -700,3 +701,32 @@ class TestParserPlumbing:
 
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
+
+
+class TestTracedHarness:
+    """``perfbench/traced_cli.py`` runs a command as the CLI runs it."""
+
+    def test_traced_period_run_matches_the_untraced_one(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {k: v for k, v in os.environ.items()
+               if k != "RECTFREE_CHECKPOINT_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src")]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        argv = ["period", "-n", "3", "--window", "16", "--max-rows", "100"]
+        trace = tmp_path / "trace.json"
+        plain = subprocess.run([sys.executable, "-m", "rectfree"] + argv,
+                               capture_output=True, text=True, timeout=60,
+                               env=env, cwd=tmp_path)
+        traced = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+             str(trace)] + argv,
+            capture_output=True, text=True, timeout=60, env=env,
+            cwd=tmp_path)
+        assert plain.returncode == EXIT_BUDGET, plain.stderr
+        assert (traced.returncode, traced.stdout) == \
+            (plain.returncode, plain.stdout), traced.stderr
+        record = json.loads(trace.read_text())
+        assert record["missing"] == []
+        spans = [s for s in record["spans"] if s["name"] == "detect_period"]
+        assert [s["rows"] for s in spans] == [100]

@@ -1,15 +1,16 @@
 """Period detection: exact results, goldens, budget/resume, callbacks."""
+import random
 import tracemalloc
 
 import pytest
 
+from _table_oracle import DictTable, packed_entries
 from rectfree import (BudgetExhaustedError, InvalidParameterError,
                       PeriodResult, defining_matrix, detect_period,
-                      generate_prefix, minimal_fold_multiplier,
-                      new_generator)
+                      minimal_fold_multiplier, new_generator)
 from rectfree import period
 from rectfree.period import (DEFAULT_WINDOW, _Detector, _minimize_pp,
-                             _pp_from_ring, _Ring)
+                             _pp_from_ring, _Ring, _Table)
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
@@ -170,16 +171,6 @@ class TestCallbacks:
         assert [k for k, _ in seen] == list(range(1, 8))
         assert seen[0] == (1, (1, 2, 3))
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_log_sink_replays_enough_rows_to_fold(self, n):
-        got = []
-        res = detect_period(n, 10_000,
-                            log_sink=lambda k, ones: got.append((k, ones)))
-        m = minimal_fold_multiplier(res)
-        want = res.pp + 2 * res.p * m
-        assert [k for k, _ in got] == list(range(1, want + 1))
-        assert got == [(r.index, r.ones) for r in generate_prefix(n, want)]
-
 
 class TestFoldMultiplier:
     def test_measured_orders(self):
@@ -261,13 +252,14 @@ class TestPreperiodFromRing:
 
 
 class TestPackedDetector:
-    """The ring packs its rows into typed arrays; the table keys are ints."""
+    """The ring and the recurrence table keep their rows in typed arrays."""
 
-    def test_order6_detector_holds_at_most_160_bytes_per_ring_row(self):
+    def test_order6_detector_holds_at_most_48_bytes_per_ring_row(self):
         # Fed as detect_period feeds its live detector, until the ring
-        # holds window + sigma + 1 rows: ring offsets and lags, the table
-        # and its ages.  A ring of per-row tuples with tuple keys held
-        # about 370 bytes per row.
+        # holds window + sigma + 1 rows: ring offsets and lags, the
+        # table's key ring and slots.  This measures 40 bytes per row; a
+        # dict table with a deque of int keys held 87, and a ring of
+        # per-row tuples with tuple keys about 370.
         gen = new_generator(6)
         window = 1 << 14
         rows = window + gen.params.sigma + 1
@@ -283,13 +275,14 @@ class TestPackedDetector:
                 enc = [j - k for j in ones]
                 det.ring.append(enc, state_k - frontier)
                 det.push_row(ones[-1], tuple(enc), frontier)
-                det.record(state_k, frontier)
+                det.table.record(state_k, det.poly, len(det.deq),
+                                 state_k - frontier)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(det.ring.lags) == rows
-        assert len(det.table) == window
-        assert held <= 160 * rows, held / rows
+        assert len(packed_entries(det.table, state_k)[0]) == window
+        assert held <= 48 * rows, held / rows
 
     def test_widening_keeps_every_row(self):
         ring = _Ring(100, 3)
@@ -323,3 +316,80 @@ class TestPackedDetector:
         assert ring.first == 5 and ring.covers(5) and ring.covers(19)
         assert ring.rows(5, 6).tolist() == [5, -5]
         assert ring.lags.tolist() == list(range(5, 20))
+
+
+def feed_both(window, keys, first=2):
+    """Record ``keys`` (poly, live, lag) as states first, first + 1, ...
+    in a packed table and in the dict oracle; every return and, after
+    every record, the whole table must agree."""
+    packed, oracle = _Table(window), DictTable(window)
+    for k, key in enumerate(keys, first):
+        assert packed.record(k, *key) == oracle.record(k, *key), k
+        assert packed_entries(packed, k) == (oracle.table, oracle.ages), k
+    return oracle.table
+
+
+class TestPackedTable:
+    """The packed table answers as the dict and deque it replaced."""
+
+    # Homes 0 and 1, and 7, 15 and 4095: the last slot of 8, of 16 and of
+    # every table up to 4096 slots.  Each low part comes with several
+    # high parts: home collisions and probe runs that wrap.
+    POLYS = [low | high << 12 for low in (0, 1, 7, 15, 4095)
+             for high in (0, 1, 5)]
+    TAGS = [(0, 0), (1, 0), (0, 1), (3, 5), (2, -1)]  # (live, lag)
+
+    @pytest.mark.parametrize("window", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_keys_agree_with_the_dict_table(self, window, seed):
+        rng = random.Random(seed)
+        polys = rng.sample(self.POLYS, rng.randint(2, len(self.POLYS)))
+        tags = self.TAGS[:rng.randint(1, len(self.TAGS))]
+        keys = [(rng.choice(polys), *rng.choice(tags)) for _ in range(400)]
+        feed_both(window, keys, first=rng.randint(1, 1 << 40))
+
+    @pytest.mark.parametrize("window", [4, 8, 9])
+    def test_a_key_repeating_after_exactly_window_states_hits(self, window):
+        keys = [(7 | i << 12, 1, 0) for i in range(window)] * 5
+        assert len(feed_both(window, keys)) == window
+
+    def test_one_home_slot_for_every_key(self):
+        # Every key starts its probe at the last slot of 8, 16 and 32
+        # (the table of window 8): the probe run wraps, and deletions
+        # shift it back past the end.
+        keys = [(31 | 1 << 6 + i % 13, 1, i % 3) for i in range(300)]
+        feed_both(8, keys)
+
+    def test_slots_double_and_rehash_as_entries_arrive(self):
+        rng = random.Random(5)
+        keys = [(rng.randrange(1 << 61), rng.randrange(1 << 20),
+                 rng.randrange(-1 << 20, 1 << 20)) for _ in range(600)]
+        sizes = []
+        packed, oracle = _Table(100), DictTable(100)
+        for k, key in enumerate(keys, 2):
+            assert packed.record(k, *key) == oracle.record(k, *key)
+            sizes.append(len(packed.slots))
+        assert packed_entries(packed, k) == (oracle.table, oracle.ages)
+        assert sorted(set(sizes)) == [8, 16, 32, 64, 128, 256, 512]
+        assert len(packed.polys) == len(packed.tags) == 101
+        assert len(oracle.table) == 100
+
+
+class TestNoUpFrontCost:
+    """A detector allocates as rows arrive, not by its window."""
+
+    @pytest.mark.parametrize("n, rows, window", [
+        (3, 200, 1 << 40),
+        (3, 10_000, DEFAULT_WINDOW),
+    ])
+    def test_detect_period_allocates_under_one_mib(self, n, rows, window):
+        tracemalloc.start()
+        try:
+            try:
+                detect_period(n, rows, window=window)
+            except BudgetExhaustedError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
