@@ -6,46 +6,61 @@ eventual periodicity of that infinite matrix, folds one period band into
 a finite symmetric incidence matrix, and verifies the result as an
 incidence-geometry configuration — with atomic checkpoints for runs that
 take months and a CLI tying the pieces together.
+
+``import rectfree`` loads no submodule: each exported name is imported
+from its home module when it is first accessed (PEP 562), so a program
+pays only for the parts it uses.
 """
-from .checkpoint import (Checkpoint, EMPTY_ROW_HASH, RowLog, chain_row_hash,
-                         iter_row_log, load_checkpoint, log_prefix_hash,
-                         save_checkpoint)
-from .errors import (BudgetExhaustedError, CheckpointError,
-                     ConstraintViolationError, CorruptCheckpointError,
-                     InvalidParameterError, InvariantViolationError,
-                     RectfreeError, SizeLimitError, VersionMismatchError)
-from .folding import (FoldParams, compact_plane, fold, hypothesis_status,
-                      regenerate_rows)
-from .generator import (GeneratorState, MAX_ORDER, Params, SparseRow,
-                        compute_galfs, format_row_line, generate_naive,
-                        generate_prefix, is_admissible, length_bound,
-                        new_generator, next_row, parse_row_line)
-from .matrix import IncidenceMatrix, parse_matrix_text
-from .period import (DefiningMatrix, DetectorSnapshot, PeriodResult,
-                     ResumeState, defining_matrix, detect_period,
-                     minimal_fold_multiplier)
-from .verify import (Configuration, ConfigurationViolation,
-                     automorphism_count, canonical_form, find_rectangle,
-                     is_desarguesian, is_projective_plane, isomorphic,
-                     levi_dot, reference_plane, verify_configuration)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExhaustedError", "Checkpoint", "CheckpointError", "Configuration",
-    "ConfigurationViolation", "ConstraintViolationError",
-    "CorruptCheckpointError", "DefiningMatrix", "DetectorSnapshot",
-    "EMPTY_ROW_HASH", "FoldParams", "GeneratorState", "IncidenceMatrix",
-    "InvalidParameterError", "InvariantViolationError", "MAX_ORDER",
-    "Params", "PeriodResult", "RectfreeError", "ResumeState", "RowLog",
-    "SizeLimitError", "SparseRow", "VersionMismatchError",
-    "automorphism_count", "canonical_form", "chain_row_hash",
-    "compact_plane", "compute_galfs", "defining_matrix", "detect_period",
-    "find_rectangle", "fold", "format_row_line", "generate_naive",
-    "generate_prefix", "hypothesis_status", "is_admissible",
-    "is_desarguesian", "is_projective_plane", "isomorphic", "iter_row_log",
-    "length_bound", "levi_dot", "load_checkpoint", "log_prefix_hash",
-    "minimal_fold_multiplier", "new_generator", "next_row",
-    "parse_matrix_text", "parse_row_line", "reference_plane",
-    "regenerate_rows", "save_checkpoint", "verify_configuration",
-]
+# Home module of every exported name.
+_EXPORTS = {
+    "checkpoint": (
+        "Checkpoint", "EMPTY_ROW_HASH", "RowLog", "chain_row_hash",
+        "iter_row_log", "load_checkpoint", "log_prefix_hash",
+        "save_checkpoint"),
+    "errors": (
+        "BudgetExhaustedError", "CheckpointError", "ConstraintViolationError",
+        "CorruptCheckpointError", "InvalidParameterError",
+        "InvariantViolationError", "RectfreeError", "SizeLimitError",
+        "VersionMismatchError"),
+    "folding": (
+        "FoldParams", "compact_plane", "fold", "hypothesis_status",
+        "regenerate_rows"),
+    "generator": (
+        "GeneratorState", "MAX_ORDER", "Params", "SparseRow", "compute_galfs",
+        "format_row_line", "generate_naive", "generate_prefix",
+        "is_admissible", "length_bound", "new_generator", "next_row",
+        "parse_row_line"),
+    "matrix": ("IncidenceMatrix", "parse_matrix_text"),
+    "period": (
+        "DefiningMatrix", "DetectorSnapshot", "PeriodResult", "ResumeState",
+        "defining_matrix", "detect_period", "minimal_fold_multiplier"),
+    "verify": (
+        "Configuration", "ConfigurationViolation", "automorphism_count",
+        "canonical_form", "find_rectangle", "is_desarguesian",
+        "is_projective_plane", "isomorphic", "levi_dot", "reference_plane",
+        "verify_configuration"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+    elif name in _EXPORTS:  # a submodule not imported yet
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -38,16 +38,22 @@ bytes, each emitted line (with its newline) is absorbed as
 ``sha256(previous_digest + line_bytes)``.  A checkpoint stores the chain
 value and the log byte offset it corresponds to, so a resume can verify
 the prefix it relies on and discard any torn tail beyond it.
+
+Importing this module does not import :mod:`hashlib`, whose OpenSSL
+backend adds some 3.6 MiB to a process.  The first hash computed loads
+it: saving or loading a checkpoint, opening or appending to a row log,
+or :func:`chain_row_hash`.  A command that only reads this module's
+names (``fold --log`` reading a row log, say) never loads it.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
@@ -74,6 +80,14 @@ _HDR = struct.Struct("<6sH")
 _ROW_FORMATS: dict[int, bytes] = {}  # ones per row -> b"%d\t%d,...,%d\n"
 
 
+@cache
+def _hasher():
+    """:func:`hashlib.sha256`, imported by the first call.  Callers on a
+    per-row path bind it once rather than calling this per row."""
+    from hashlib import sha256
+    return sha256
+
+
 def row_line(index: int, ones) -> bytes:
     """The :func:`~rectfree.generator.format_row_line` text of a row and
     its newline, as ASCII bytes: the row log's line."""
@@ -86,7 +100,7 @@ def row_line(index: int, ones) -> bytes:
 
 def chain_row_hash(digest: bytes, index: int, ones) -> bytes:
     """Absorb one emitted row into the running row-log chain hash."""
-    return hashlib.sha256(digest + row_line(index, ones)).digest()
+    return _hasher()(digest + row_line(index, ones)).digest()
 
 
 @dataclass(frozen=True)
@@ -162,11 +176,13 @@ def _enc_ints(*values: int) -> bytes:
 def _enc_offsets(offsets) -> bytes:
     return _I.pack(len(offsets)) + b"".join(_SQ.pack(o) for o in offsets)
 
-def _enc_packed(values: array) -> bytes:
-    """Width, byte length and elements of the narrowest signed packing.
+def _enc_packed(values: array) -> tuple[bytes, memoryview]:
+    """Width and byte length, then the elements as a byte view, of the
+    narrowest signed packing.
 
     ``values`` may be wider than its elements need (a ring widens for a
-    value that has since been trimmed); it is then repacked narrower."""
+    value that has since been trimmed); it is then repacked narrower,
+    and otherwise viewed without a copy."""
     for width in (1, 2, 4, 8):
         code = TYPECODES[width]
         if values.typecode == code:
@@ -179,14 +195,16 @@ def _enc_packed(values: array) -> bytes:
         if sys.byteorder == "big":
             packed = array(code, packed)  # never swap the caller's array
             packed.byteswap()
-        blob = packed.tobytes()
-        return _Q.pack(width) + _Q.pack(len(blob)) + blob
+        view = memoryview(packed).cast("B")
+        return _Q.pack(width) + _Q.pack(len(view)), view
     raise InvalidParameterError("a detector value does not fit in 8 bytes")
 
 
-def _encode(cp: Checkpoint) -> list[bytes]:
-    core = _enc_ints(cp.n, cp.next_k, cp.frontier_l, cp.rows_emitted,
-                     cp.log_offset)
+def _encode(cp: Checkpoint) -> list[list]:
+    """The six records of ``cp``, each as a list of byte pieces (bytes
+    or byte views) that are written one after another."""
+    core = [_enc_ints(cp.n, cp.next_k, cp.frontier_l, cp.rows_emitted,
+                      cp.log_offset)]
     live = [_Q.pack(len(cp.live_rows))]
     for i, ones in cp.live_rows:
         live.append(_Q.pack(i))
@@ -195,8 +213,8 @@ def _encode(cp: Checkpoint) -> list[bytes]:
     for c, w in cp.col_weights:
         weights.append(_Q.pack(c))
         weights.append(_I.pack(w))
-    tag = cp.detector_tag.encode("utf-8")
-    det: list[bytes] = []
+    tag = [cp.detector_tag.encode("utf-8")]
+    det: list = []
     if cp.detector is not None:
         snap = cp.detector
         if snap.lags is None:
@@ -207,15 +225,14 @@ def _encode(cp: Checkpoint) -> list[bytes]:
             raise InvalidParameterError(
                 f"every ring row must hold {cp.n + 1} offsets")
         det.append(_enc_ints(snap.window, snap.ring_first, len(snap.lags)))
-        det.append(_enc_packed(snap.ring))
-        det.append(_enc_packed(snap.lags))
+        det.extend(_enc_packed(snap.ring))
+        det.extend(_enc_packed(snap.lags))
         if snap.candidate is None:
             det.append(_Q.pack(0))
         else:
             k0, p = snap.candidate
             det.append(_Q.pack(1) + _Q.pack(k0) + _Q.pack(p))
-    return [core, cp.row_hash, b"".join(live), b"".join(weights), tag,
-            b"".join(det)]
+    return [core, [cp.row_hash], live, weights, tag, det]
 
 
 class _Reader:
@@ -345,23 +362,16 @@ def save_checkpoint(checkpoint: Checkpoint, destination) -> int:
     any previous checkpoint untouched.
     """
     destination = os.fspath(destination)
-    body = bytearray(_HDR.pack(MAGIC, FORMAT_VERSION))
-    for record in _encode(checkpoint):
-        body += _Q.pack(len(record))
-        body += record
-    body += hashlib.sha256(body).digest()[:8]
+    records = _encode(checkpoint)
     directory = os.path.dirname(destination) or "."
     tmp = os.path.join(directory,
                        f".{os.path.basename(destination)}.{os.getpid()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            view = memoryview(body)
-            while view:
-                view = view[os.write(fd, view):]
+        with open(fd, "wb") as fh:
+            size = _write_body(fh, records)
+            fh.flush()
             os.fsync(fd)
-        finally:
-            os.close(fd)
         os.replace(tmp, destination)
     except OSError:
         try:
@@ -377,7 +387,23 @@ def save_checkpoint(checkpoint: Checkpoint, destination) -> int:
             os.close(dir_fd)
     except OSError:
         pass  # the directory entry will still reach disk eventually
-    return len(body)
+    return size
+
+
+def _write_body(fh, records: list[list]) -> int:
+    """Write the header, each record's length and pieces, and the
+    checksum of all of them to ``fh``; returns the byte count.  Each
+    piece goes to the file and to the hash as it is, without a copy."""
+    pieces = [_HDR.pack(MAGIC, FORMAT_VERSION)]
+    for record in records:
+        pieces.append(_Q.pack(sum(map(len, record))))
+        pieces.extend(record)
+    digest = _hasher()()
+    for piece in pieces:
+        fh.write(piece)
+        digest.update(piece)
+    fh.write(digest.digest()[:8])
+    return sum(map(len, pieces)) + 8
 
 
 def load_checkpoint(source) -> Checkpoint:
@@ -401,7 +427,7 @@ def load_checkpoint(source) -> Checkpoint:
             f"checkpoint format version {version} is not supported "
             f"(this build reads versions 1 and {FORMAT_VERSION})")
     body, checksum = data[:-8], data[-8:]
-    if hashlib.sha256(body).digest()[:8] != checksum:
+    if _hasher()(body).digest()[:8] != checksum:
         raise CorruptCheckpointError("checksum mismatch")
     records: list[bytes] = []
     pos = _HDR.size
@@ -481,11 +507,12 @@ class RowLog:
             raise
         self.offset = offset
         self.row_hash = bytes(row_hash) if offset else EMPTY_ROW_HASH
+        self._sha256 = _hasher()
 
     def append(self, index: int, ones) -> None:
         line = row_line(index, ones)
         self._fh.write(line)
-        self.row_hash = hashlib.sha256(self.row_hash + line).digest()
+        self.row_hash = self._sha256(self.row_hash + line).digest()
         self.offset += len(line)
 
     def sync(self) -> None:
@@ -505,6 +532,7 @@ class RowLog:
 
 def _scan_log(fh, upto: int) -> tuple[bytes, int]:
     """Chain-hash the first ``upto`` bytes; returns (digest, line count)."""
+    sha256 = _hasher()
     fh.seek(0)
     digest = EMPTY_ROW_HASH
     consumed = 0
@@ -516,7 +544,7 @@ def _scan_log(fh, upto: int) -> tuple[bytes, int]:
         if consumed > upto or not line.endswith(b"\n"):
             raise CorruptCheckpointError(
                 f"row-log offset {upto} does not fall on a line boundary")
-        digest = hashlib.sha256(digest + line).digest()
+        digest = sha256(digest + line).digest()
         rows += 1
     if consumed < upto:
         raise CorruptCheckpointError(

@@ -38,22 +38,51 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from hashlib import sha256
+from importlib import import_module
 
-from .checkpoint import (Checkpoint, EMPTY_ROW_HASH, RowLog, exclusive_lock,
-                         iter_row_log, load_checkpoint, row_line,
-                         save_checkpoint)
-from .checkpoint import chain_row_hash  # noqa: F401  (kept importable here)
 from .errors import (BudgetExhaustedError, CheckpointError,
                      ConstraintViolationError, InvalidParameterError,
                      InvariantViolationError, SizeLimitError)
-from .folding import FoldParams, compact_plane, fold, regenerate_rows
-from .generator import compute_galfs, new_generator
-from .matrix import parse_matrix_text
-from .period import DEFAULT_WINDOW, detect_period, minimal_fold_multiplier
-from .verify import (Configuration, automorphism_count, is_projective_plane,
-                     isomorphic, levi_dot, reference_plane,
-                     verify_configuration)
+
+# Home module of every name the commands call.  A command binds the names
+# of the modules it runs when it starts (``_load``), and reading one as an
+# attribute of this module binds its module's names first, so that tools
+# may patch or wrap them here before any command runs.  Commands call
+# them through this module's namespace.
+_IMPORTS = {
+    "checkpoint": ("Checkpoint", "EMPTY_ROW_HASH", "RowLog",
+                   "chain_row_hash", "exclusive_lock", "iter_row_log",
+                   "load_checkpoint", "row_line", "save_checkpoint"),
+    "folding": ("FoldParams", "compact_plane", "fold", "regenerate_rows"),
+    "generator": ("compute_galfs", "new_generator"),
+    "matrix": ("parse_matrix_text",),
+    "period": ("DEFAULT_WINDOW", "detect_period", "minimal_fold_multiplier"),
+    "verify": ("Configuration", "automorphism_count", "is_projective_plane",
+               "isomorphic", "levi_dot", "reference_plane",
+               "verify_configuration"),
+}
+_HOME = {name: module for module, names in _IMPORTS.items()
+         for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import ``modules`` and bind each of their names that this module
+    does not hold yet; a name already bound (patched, say) is kept."""
+    namespace = globals()
+    for module in modules:
+        home = import_module(f".{module}", __package__)
+        for name in _IMPORTS[module]:
+            if name not in namespace:
+                namespace[name] = getattr(home, name)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,13 +172,15 @@ class _StdoutSink:
     """Row sink for terminal runs: the byte stream doubles as the log."""
 
     def __init__(self, offset: int, row_hash: bytes):
+        from hashlib import sha256
+        self._sha256 = sha256
         self.offset = offset
         self.row_hash = row_hash
 
     def append(self, index: int, ones) -> None:
         line = row_line(index, ones)
         sys.stdout.write(line.decode("ascii"))
-        self.row_hash = sha256(self.row_hash + line).digest()
+        self.row_hash = self._sha256(self.row_hash + line).digest()
         self.offset += len(line)
 
     def sync(self) -> None:
@@ -160,6 +191,7 @@ class _StdoutSink:
 
 
 def cmd_gen(args) -> int:
+    _load("checkpoint", "generator")
     if args.rows < 1:
         raise InvalidParameterError(
             f"--rows must be a positive total, got {args.rows}")
@@ -248,6 +280,7 @@ def _report_period(result) -> list[str]:
 
 
 def cmd_period(args) -> int:
+    _load("checkpoint", "period")
     _check_cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "period", args.n)
     with _writer_lock(ckpt_path):
@@ -256,7 +289,11 @@ def cmd_period(args) -> int:
 
 def _detect(args, ckpt_path: str | None) -> int:
     cp = _load_for(ckpt_path, args.n)
-    resume = None
+    # The restored cursor, popped into the detect_period call below so
+    # that no name here holds the loaded ring while the restored detector
+    # holds its copy (CPython 3.11 and later hand call arguments over to
+    # the callee's frame).
+    resume = []
     window = DEFAULT_WINDOW if args.window is None else args.window
     if cp is not None:
         if cp.detector is None:
@@ -269,7 +306,8 @@ def _detect(args, ckpt_path: str | None) -> int:
                 f"--window {args.window} differs from the window "
                 f"{cp.detector.window} of checkpoint {ckpt_path}")
         window = cp.detector.window
-        resume = cp.restore_resume()
+        resume.append(cp.restore_resume())
+        cp = None
 
     def save(state) -> None:
         save_checkpoint(Checkpoint.capture(
@@ -278,7 +316,8 @@ def _detect(args, ckpt_path: str | None) -> int:
 
     try:
         result = detect_period(
-            args.n, args.max_rows, window=window, resume=resume,
+            args.n, args.max_rows, window=window,
+            resume=resume.pop() if resume else None,
             on_row=_progress_on_row(args.progress_every,
                                     f"period n={args.n}"),
             on_checkpoint=save if ckpt_path else None,
@@ -309,6 +348,9 @@ def _emit_matrix(mat, fmt: str, out: str | None) -> None:
 
 
 def cmd_fold(args) -> int:
+    _load("period", "folding")
+    if args.log:
+        _load("checkpoint")
     window = DEFAULT_WINDOW if args.window is None else args.window
     result = detect_period(
         args.n, args.max_rows, window=window,
@@ -341,6 +383,7 @@ def cmd_fold(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    _load("matrix", "verify")
     with open(args.matrix, "r", encoding="ascii") as fh:
         mat = parse_matrix_text(fh.read())
     outcome = verify_configuration(mat, args.n)
@@ -376,6 +419,7 @@ def cmd_verify(args) -> int:
 # -- galfs -------------------------------------------------------------------
 
 def cmd_galfs(args) -> int:
+    _load("matrix", "generator")
     with open(args.matrix, "r", encoding="ascii") as fh:
         mat = parse_matrix_text(fh.read())
     cells = sorted(compute_galfs(mat.to_dense()))

@@ -547,6 +547,7 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         raise InvalidParameterError(
             f"checkpoint_every_seconds must be > 0, got "
             f"{checkpoint_every_seconds}")
+    candidate = None  # (k0, p) in verification; the ring is pinned at k0
     if resume is None:
         gen = new_generator(n)
         det = _Detector(window, gen.params)
@@ -555,6 +556,10 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         if gen.params is None or gen.params.n != n:
             raise InvalidParameterError("resume state is for a different order")
         det = _Detector.restore(resume.detector, gen)
+        candidate = resume.detector.candidate
+        # The detector holds copies: keep no reference to the snapshot,
+        # so that it is freed if the caller holds none either.
+        resume = None
     sigma = gen.params.sigma
     ring = det.ring
     record, deq = det.table.record, det.deq
@@ -563,11 +568,9 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         return PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
                             case1=case1, rows_examined=gen.rows_emitted)
 
-    candidate = None  # (k0, p) in verification; the ring is pinned at k0
-    if resume is not None and resume.detector.candidate is not None:
+    if candidate is not None:
         # Continue an interrupted verification; its rows k0 .. last row
         # are in the ring (not in a format-1 ring, which is dropped).
-        candidate = resume.detector.candidate
         if ring.covers(candidate[0]):
             ring.pin = candidate[0]
         else:

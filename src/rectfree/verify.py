@@ -53,8 +53,9 @@ class ConfigurationViolation:
     """A failed configuration axiom, with the first witness found.
 
     ``axiom`` is "i" (two lines share two points), "ii" (a line of
-    wrong size), or "iii" (a point of wrong degree).  Violations are
-    ordinary data returned by :func:`verify_configuration`, not raised.
+    wrong size, or no line at all), or "iii" (a point of wrong degree).
+    Violations are ordinary data returned by
+    :func:`verify_configuration`, not raised.
     """
 
     axiom: str
@@ -95,7 +96,9 @@ def verify_configuration(matrix: IncidenceMatrix, n: int
 
     Returns the :class:`Configuration` on success, or the first
     violation found: line sizes first (axiom ii), then point degrees
-    (axiom iii), then pairwise line intersections (axiom i).
+    (axiom iii), then pairwise line intersections (axiom i).  The empty
+    matrix, which meets every axiom vacuously, is refused under axiom ii
+    with witness ``(0,)``.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"order n must be a positive int, got {n!r}")
@@ -104,6 +107,12 @@ def verify_configuration(matrix: IncidenceMatrix, n: int
         raise SizeLimitError(
             f"{v} points exceeds the verification limit {MAX_POINTS}")
     k = n + 1
+    if v == 0:
+        # Vacuous otherwise; for v >= 1 the axioms force v >= k(k-1) + 1.
+        return ConfigurationViolation(
+            axiom="ii", witness=(0,),
+            message=f"the matrix has no lines; a configuration with k = {k} "
+                    f"has at least {k * (k - 1) + 1} lines")
     for i, ones in enumerate(matrix.rows, 1):
         if len(ones) != k:
             return ConfigurationViolation(

@@ -6,6 +6,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -296,13 +297,37 @@ class TestDetectorCheckpoint:
         save_checkpoint(wide, str(again))
         assert again.read_bytes() == path.read_bytes()
 
+    def test_save_copies_no_detector_array(self, tmp_path):
+        """The ring and lags go to the file from the snapshot's own
+        arrays: saving allocates far less than they hold."""
+        cp = load_checkpoint(str(period_checkpoint(tmp_path, 3, 100, 16)))
+        rows = 250_000  # 1 MB of ring offsets, one byte each
+        big = dataclasses.replace(cp, detector=dataclasses.replace(
+            cp.detector, ring=array("b", bytes(4 * rows)),
+            lags=array("b", bytes(rows)), candidate=None))
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            size = save_checkpoint(big, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == path.stat().st_size > 5 * rows
+        assert peak < 5 * rows // 4
+        back = load_checkpoint(str(path)).detector
+        assert (back.ring, back.lags) == (big.detector.ring,
+                                          big.detector.lags)
+
     @pytest.mark.parametrize("code", "hiq")
     def test_enc_packed_picks_the_narrowest_width(self, code):
-        assert _enc_packed(array(code, [-128, 0, 127])) == \
+        def packed(values):  # the pieces as they are written
+            return b"".join(_enc_packed(array(code, values)))
+
+        assert packed([-128, 0, 127]) == \
             struct.pack("<QQ", 1, 3) + struct.pack("<3b", -128, 0, 127)
-        assert _enc_packed(array(code, [300, -2])) == \
+        assert packed([300, -2]) == \
             struct.pack("<QQ", 2, 4) + struct.pack("<2h", 300, -2)
-        assert _enc_packed(array(code)) == struct.pack("<QQ", 1, 0)
+        assert packed([]) == struct.pack("<QQ", 1, 0)
 
     def test_version1_file_resumes(self, tmp_path):
         # Written by format version 1 (order 3, window 16, 100 rows, a

@@ -6,10 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from array import array
+from importlib import import_module
 
 import pytest
 
+import rectfree
 from rectfree import (IncidenceMatrix, InvariantViolationError,
                       generate_prefix, load_checkpoint, save_checkpoint)
 from rectfree import cli
@@ -273,6 +276,32 @@ class TestPeriod:
         assert main(base + ["--max-rows", "1000"]) == EXIT_OK
         assert restores == [60]
         assert capsys.readouterr().out.endswith(PERIOD3_REPORT)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "CPython 3.10 keeps call arguments on the caller's stack for the "
+        "whole call"))
+    def test_resumed_run_frees_the_loaded_ring(self, tmp_path, capsys,
+                                               monkeypatch):
+        base = ["period", "-n", "3", "--window", "16", "--checkpoint",
+                str(tmp_path / "p3.ckpt")]
+        assert main(base + ["--max-rows", "40", "--progress-every", "0"]) \
+            == EXIT_BUDGET
+        rings, alive = [], []
+        original = cli.load_checkpoint
+
+        def loading(path):
+            cp = original(path)
+            rings.append(weakref.ref(cp.detector.ring))
+            return cp
+
+        def probe(interval, label):
+            return lambda k, ones: alive.append(rings[0]() is not None)
+
+        monkeypatch.setattr(cli, "load_checkpoint", loading)
+        monkeypatch.setattr(cli, "_progress_on_row", probe)
+        assert main(base + ["--max-rows", "45"]) == EXIT_BUDGET
+        assert len(rings) == 1
+        assert alive == [False] * 5
 
     @pytest.mark.parametrize("n, window, rows, cadences", [
         (3, 16, 100, (7, 1000)), (6, 1 << 17, 3000, (997,))])
@@ -638,6 +667,16 @@ class TestVerify:
         assert main(["verify", str(path), "-n", "1"]) == EXIT_OK
         assert "configuration 3_2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", "P1\n0 0\n"])
+    def test_empty_matrix_is_refused(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text, encoding="ascii")
+        assert main(["verify", str(path), "-n", "3"]) == EXIT_VIOLATION
+        assert capsys.readouterr().out == (
+            "violation of axiom (ii): the matrix has no lines; a "
+            "configuration with k = 4 has at least 13 lines\n"
+            "witness: (0,)\n")
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["verify", str(tmp_path / "absent"), "-n", "2"])
         assert code == EXIT_IO
@@ -703,30 +742,125 @@ class TestParserPlumbing:
         assert main([]) == EXIT_USAGE
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def child_env():
+    """The environment of a fresh ``rectfree`` process run from the tree."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "RECTFREE_CHECKPOINT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return env
+
+
 class TestTracedHarness:
     """``perfbench/traced_cli.py`` runs a command as the CLI runs it."""
 
-    def test_traced_period_run_matches_the_untraced_one(self, tmp_path):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = {k: v for k, v in os.environ.items()
-               if k != "RECTFREE_CHECKPOINT_DIR"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src")]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        argv = ["period", "-n", "3", "--window", "16", "--max-rows", "100"]
+    def run_both(self, tmp_path, argv):
+        """(plain run, traced run, trace record) of one command."""
         trace = tmp_path / "trace.json"
         plain = subprocess.run([sys.executable, "-m", "rectfree"] + argv,
                                capture_output=True, text=True, timeout=60,
-                               env=env, cwd=tmp_path)
+                               env=child_env(), cwd=tmp_path)
         traced = subprocess.run(
-            [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"),
+            [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"),
              str(trace)] + argv,
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=child_env(),
             cwd=tmp_path)
-        assert plain.returncode == EXIT_BUDGET, plain.stderr
         assert (traced.returncode, traced.stdout) == \
             (plain.returncode, plain.stdout), traced.stderr
-        record = json.loads(trace.read_text())
+        return plain, traced, json.loads(trace.read_text())
+
+    def test_traced_period_run_matches_the_untraced_one(self, tmp_path):
+        argv = ["period", "-n", "3", "--window", "16", "--max-rows", "100"]
+        plain, _, record = self.run_both(tmp_path, argv)
+        assert plain.returncode == EXIT_BUDGET, plain.stderr
         assert record["missing"] == []
         spans = [s for s in record["spans"] if s["name"] == "detect_period"]
         assert [s["rows"] for s in spans] == [100]
+
+    def test_traced_fold_and_verify_runs_match_the_untraced_ones(
+            self, tmp_path):
+        matrix = str(tmp_path / "f3.rows")
+        for argv, spans in [
+                (["fold", "-n", "3", "-m", "10", "--out", matrix],
+                 ["detect_period", "regenerate_rows", "fold",
+                  "IncidenceMatrix.to_sparse_text"]),
+                (["verify", matrix, "-n", "3", "--aut"],
+                 ["parse_matrix_text", "verify_configuration",
+                  "is_projective_plane", "automorphism_count"])]:
+            plain, _, record = self.run_both(tmp_path, argv)
+            assert plain.returncode == EXIT_OK, plain.stderr
+            assert record["missing"] == []
+            assert [s["name"] for s in record["spans"]] == ["main"] + spans
+
+
+def loaded_modules(tmp_path, code):
+    """``rectfree`` modules and ``_hashlib``/``argparse`` presence in a
+    fresh process after it runs ``code``."""
+    probe = ("import json, sys\n" + code + "\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "    if m.split('.')[0] in ('rectfree', '_hashlib',\n"
+             "                           'argparse'))))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=child_env(),
+                          cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestImportFootprint:
+    """Each command imports the modules it runs and no others: OpenSSL's
+    ``_hashlib`` only where a hash is computed."""
+
+    def test_bare_cli_import(self, tmp_path):
+        assert loaded_modules(tmp_path, "import rectfree.cli") == {
+            "rectfree", "rectfree.cli", "rectfree.errors", "argparse"}
+
+    def test_package_names_load_their_modules(self, tmp_path):
+        assert loaded_modules(tmp_path, "import rectfree") == {"rectfree"}
+        assert loaded_modules(
+            tmp_path, "import rectfree\nrectfree.matrix.IncidenceMatrix") \
+            == {"rectfree", "rectfree.errors", "rectfree.generator",
+                "rectfree.matrix"}
+        assert loaded_modules(tmp_path, "from rectfree import Params") == {
+            "rectfree", "rectfree.errors", "rectfree.generator"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        ("gen -n 2 --rows 5",
+         {"checkpoint", "generator", "period", "_hashlib"}),
+        ("period -n 2 --max-rows 100 --progress-every 0",
+         {"checkpoint", "generator", "period"}),
+        ("fold -n 2", {"folding", "generator", "matrix", "period",
+                       "verify"}),
+        ("fold -n 2 --log n2.rows", {"checkpoint", "folding", "generator",
+                                     "matrix", "period", "verify"}),
+        ("verify fano.rows -n 2 --aut", {"generator", "matrix", "verify"}),
+        ("galfs fano.rows", {"generator", "matrix"}),
+    ])
+    def test_command_modules(self, tmp_path, argv, modules):
+        fano_file(tmp_path)
+        (tmp_path / "n2.rows").write_text(
+            "".join(f"{r.index}\t{','.join(map(str, r.ones))}\n"
+                    for r in generate_prefix(2, 50)), encoding="ascii")
+        code = ("import contextlib, io\n"
+                "from rectfree.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({argv.split()!r}) == 0\n")
+        assert loaded_modules(tmp_path, code) == {
+            "rectfree", "rectfree.cli", "rectfree.errors", "argparse"} | {
+            m if m.startswith("_") else f"rectfree.{m}" for m in modules}
+
+    def test_star_import_binds_every_name_from_its_home(self):
+        namespace: dict = {}
+        exec("from rectfree import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == \
+            rectfree.__all__
+        for name in rectfree.__all__:
+            home = import_module(f"rectfree.{rectfree._HOME[name]}")
+            value = namespace[name]
+            assert value is getattr(home, name) is getattr(rectfree, name)
+            assert getattr(value, "__module__", home.__name__) in (
+                home.__name__, "builtins")
