@@ -39,11 +39,11 @@ bytes, each emitted line (with its newline) is absorbed as
 value and the log byte offset it corresponds to, so a resume can verify
 the prefix it relies on and discard any torn tail beyond it.
 
-Importing this module does not import :mod:`hashlib`, whose OpenSSL
-backend adds some 3.6 MiB to a process.  The first hash computed loads
-it: saving or loading a checkpoint, opening or appending to a row log,
-or :func:`chain_row_hash`.  A command that only reads this module's
-names (``fold --log`` reading a row log, say) never loads it.
+Every SHA-256 here comes from CPython's built-in implementation
+(``_sha2``, or ``_sha256`` before 3.12), which gives the same digests as
+:func:`hashlib.sha256` without loading OpenSSL's libcrypto, some 3.8 MiB
+of a process.  Only an interpreter built without it falls back to
+:mod:`hashlib`.
 """
 from __future__ import annotations
 
@@ -82,9 +82,17 @@ _ROW_FORMATS: dict[int, bytes] = {}  # ones per row -> b"%d\t%d,...,%d\n"
 
 @cache
 def _hasher():
-    """:func:`hashlib.sha256`, imported by the first call.  Callers on a
-    per-row path bind it once rather than calling this per row."""
-    from hashlib import sha256
+    """The package's one SHA-256 constructor: CPython's built-in
+    ``sha256``, or :func:`hashlib.sha256` where the interpreter was built
+    without it.  Callers on a per-row path bind it once rather than
+    calling this per row."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
     return sha256
 
 
@@ -236,15 +244,15 @@ def _encode(cp: Checkpoint) -> list[list]:
 
 
 class _Reader:
-    """Strict cursor over one record's payload."""
+    """Strict cursor over one record's payload, a view of the file."""
 
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         end = self.pos + size
         if size < 0 or end > len(self.buf):
             raise CorruptCheckpointError("record payload truncated")
@@ -289,7 +297,8 @@ class _Reader:
                 f"{len(self.buf) - self.pos} stray bytes in a record")
 
 
-def _decode(records: list[bytes], version: int) -> Checkpoint:
+def _decode(records: list[memoryview], version: int) -> Checkpoint:
+    """The checkpoint held in ``records``; it keeps no view of them."""
     if len(records) != 6:
         raise CorruptCheckpointError(
             f"expected 6 records, found {len(records)}")
@@ -299,7 +308,7 @@ def _decode(records: list[bytes], version: int) -> Checkpoint:
     core.done()
     if not 1 <= n <= MAX_ORDER:
         raise CorruptCheckpointError(f"order {n} is out of range")
-    row_hash = records[1]
+    row_hash = bytes(records[1])
     if len(row_hash) != 32:
         raise CorruptCheckpointError("row hash record must be 32 bytes")
     live_r = _Reader(records[2])
@@ -310,7 +319,7 @@ def _decode(records: list[bytes], version: int) -> Checkpoint:
     weights = tuple((w_r.u64(), w_r.u32()) for _ in range(w_r.u64()))
     w_r.done()
     try:
-        tag = records[4].decode("utf-8")
+        tag = str(records[4], "utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptCheckpointError("detector tag is not UTF-8") from exc
     detector: DetectorSnapshot | None = None
@@ -426,10 +435,10 @@ def load_checkpoint(source) -> Checkpoint:
         raise VersionMismatchError(
             f"checkpoint format version {version} is not supported "
             f"(this build reads versions 1 and {FORMAT_VERSION})")
-    body, checksum = data[:-8], data[-8:]
-    if _hasher()(body).digest()[:8] != checksum:
+    body = memoryview(data)[:-8]  # records are views of it, not copies
+    if _hasher()(body).digest()[:8] != data[-8:]:
         raise CorruptCheckpointError("checksum mismatch")
-    records: list[bytes] = []
+    records: list[memoryview] = []
     pos = _HDR.size
     end = len(body)
     while pos < end:

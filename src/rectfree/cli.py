@@ -172,8 +172,8 @@ class _StdoutSink:
     """Row sink for terminal runs: the byte stream doubles as the log."""
 
     def __init__(self, offset: int, row_hash: bytes):
-        from hashlib import sha256
-        self._sha256 = sha256
+        from .checkpoint import _hasher
+        self._sha256 = _hasher()
         self.offset = offset
         self.row_hash = row_hash
 

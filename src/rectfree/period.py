@@ -605,14 +605,20 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         det.push_row(ones[-1], tuple(enc), frontier)
         hit = record(state_k, det.poly, len(deq), lag)
 
-        # Restart shortcut: the frontier column has no ones at all.
+        # Restart shortcut: the frontier column has no ones at all, so
+        # rows p + 1 .. 2p repeat rows 1 .. p, which the ring holds
+        # unless it starts after row 1.
         if frontier not in gen._sup:
             p = state_k - 1
-            fresh = new_generator(n)
-            encs = _Ring(2 * p, n + 1)  # rows 1 .. 2p; lags unused
-            for _ in range(2 * p):
-                fk, fones = fresh._advance()
-                encs.append([j - fk for j in fones], 0)
+            if ring.first == 1:
+                once = ring.rows(1, p + 1)
+            else:  # a resumed ring: regenerate rows 1 .. p
+                fresh = new_generator(n)
+                once = array("q")
+                for _ in range(p):
+                    fk, fones = fresh._advance()
+                    once.extend([j - fk for j in fones])
+            encs = _Ring(2 * p, n + 1, offs=once + once)  # lags unused
             p = _minimize_p(encs, 0, p)
             b, lm = _measure(encs, 1, p + 1)
             return finish(0, p, b, lm, True)

@@ -31,12 +31,27 @@ from rectfree import (
     new_generator,
     save_checkpoint,
 )
-from rectfree.checkpoint import _enc_packed, row_line
+from rectfree.checkpoint import _enc_packed, _hasher, row_line
 from rectfree.cli import main
 from rectfree.generator import format_row_line
 from rectfree.period import _Detector
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# ``period --checkpoint`` files: (n, window, rows, ring width, sha256).
+PERIOD_PINS = [
+    # a verification (k0, p) = (55, 16) in flight
+    (3, 16, 130, 1,
+     "6035818edf34518583e819df915d196d82eb110441145d04122c35c99ede0751"),
+    (6, None, 20_000, 1,
+     "a1631e17bff937a1c250ad75ddc70a211f28f6bb12e5b32f6413ed078552b652"),
+    (16, 64, 250, 2,
+     "70dc79d946ed6c0226c936d2cdfea69e7177e1f664c12fc432358acb7f35baa9"),
+    # the snapshot cuts the ring to window + sigma + 1 = 257 rows
+    (5, 16, 1200, 1,
+     "b609a779313bd4ddeaa82c41bbd37b40c912e216b3fc712c10336623fb1100d7"),
+]
 
 
 def save_resume(resume, path):
@@ -136,6 +151,18 @@ class TestRoundTrip:
         generic.next_row()
         with pytest.raises(InvalidParameterError):
             Checkpoint.capture(generic, row_hash=EMPTY_ROW_HASH, log_offset=0)
+
+
+class TestHasher:
+    @pytest.mark.parametrize("data", [
+        b"", row_line(7, (3, 5, 6)), bytes(range(256)) * 4096,
+        memoryview(b"rectfree" * 1000)[3:-5]])
+    def test_same_digests_as_hashlib(self, data):
+        assert _hasher()(data).digest() == hashlib.sha256(data).digest()
+        h = _hasher()()
+        h.update(data)
+        h.update(data)
+        assert h.digest() == hashlib.sha256(bytes(data) * 2).digest()
 
 
 class TestRowLog:
@@ -254,18 +281,7 @@ class TestDetectorCheckpoint:
             == 7 * 3000
         assert path.stat().st_size < 3000 * (7 + 1) + 4096
 
-    @pytest.mark.parametrize("n, window, rows, width, sha", [
-        # a verification (k0, p) = (55, 16) in flight
-        (3, 16, 130, 1,
-         "6035818edf34518583e819df915d196d82eb110441145d04122c35c99ede0751"),
-        (6, None, 20_000, 1,
-         "a1631e17bff937a1c250ad75ddc70a211f28f6bb12e5b32f6413ed078552b652"),
-        (16, 64, 250, 2,
-         "70dc79d946ed6c0226c936d2cdfea69e7177e1f664c12fc432358acb7f35baa9"),
-        # the snapshot cuts the ring to window + sigma + 1 = 257 rows
-        (5, 16, 1200, 1,
-         "b609a779313bd4ddeaa82c41bbd37b40c912e216b3fc712c10336623fb1100d7"),
-    ])
+    @pytest.mark.parametrize("n, window, rows, width, sha", PERIOD_PINS)
     def test_period_checkpoint_bytes_are_pinned(self, tmp_path, capsys, n,
                                                 window, rows, width, sha):
         """``period`` writes format 2 byte for byte as it did when the
@@ -283,6 +299,20 @@ class TestDetectorCheckpoint:
         assert snap.ring.itemsize == width
         assert (snap.candidate is not None) == (n == 3)
         assert len(snap.lags) == {3: 76, 5: 257}.get(n, rows)
+
+    @pytest.mark.parametrize("n, window, rows, width, sha", PERIOD_PINS)
+    def test_pinned_bytes_without_the_builtin_hash(
+            self, tmp_path, capsys, monkeypatch, n, window, rows, width, sha):
+        # As on an interpreter built without CPython's own SHA-256.
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        _hasher.cache_clear()
+        try:
+            assert _hasher() is hashlib.sha256
+            self.test_period_checkpoint_bytes_are_pinned(
+                tmp_path, capsys, n, window, rows, width, sha)
+        finally:
+            _hasher.cache_clear()
 
     def test_wide_snapshot_arrays_are_written_narrow(self, tmp_path):
         # A ring that widened for a value it has since trimmed keeps its
@@ -317,6 +347,29 @@ class TestDetectorCheckpoint:
         back = load_checkpoint(str(path)).detector
         assert (back.ring, back.lags) == (big.detector.ring,
                                           big.detector.lags)
+
+    def test_load_copies_no_record(self, tmp_path):
+        """Records are parsed from views of the file's bytes: loading
+        peaks near the file plus the arrays it returns, and keeps no view
+        of the file."""
+        cp = load_checkpoint(str(period_checkpoint(tmp_path, 3, 100, 16)))
+        rows = 250_000  # 1 MB of ring offsets, one byte each
+        big = dataclasses.replace(cp, detector=dataclasses.replace(
+            cp.detector, ring=array("b", range(-50, 50)) * (4 * rows // 100),
+            lags=array("b", bytes(rows)), candidate=None))
+        path = tmp_path / "big.ckpt"
+        size = save_checkpoint(big, str(path))
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(str(path))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * size
+        # The arrays (a little over-allocated), not the file's bytes too.
+        assert kept < 1.2 * size
+        assert back == big
+        assert type(back.row_hash) is bytes
 
     @pytest.mark.parametrize("code", "hiq")
     def test_enc_packed_picks_the_narrowest_width(self, code):

@@ -627,6 +627,22 @@ class TestVerify:
             "counted)\n"
             "isomorphic to the order-2 reference plane: yes\n")
 
+    def test_order16_plane_group_within_five_seconds(self, tmp_path,
+                                                     capsys):
+        # |PGammaL(3, 16)| by theorem; the search ran for minutes.
+        plane = tmp_path / "p16.rows"
+        assert main(["fold", "-n", "16", "--compact", "--out",
+                     str(plane)]) == EXIT_OK
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert main(["verify", str(plane), "-n", "16", "--aut"]) == EXIT_OK
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().out == (
+            "configuration 273_17\n"
+            "projective plane of order 16\n"
+            "automorphisms: 17108582400 (point/line bijections; dualities "
+            "not counted)\n")
+
     def test_violation_reported_with_witness(self, tmp_path, capsys):
         rows = list(FANO)
         rows[0] = (1, 2, 4)  # point 3 loses a line
@@ -812,8 +828,8 @@ def loaded_modules(tmp_path, code):
 
 
 class TestImportFootprint:
-    """Each command imports the modules it runs and no others: OpenSSL's
-    ``_hashlib`` only where a hash is computed."""
+    """Each command imports the modules it runs and no others, and none
+    loads OpenSSL's ``_hashlib``: hashes use CPython's built-in SHA-256."""
 
     def test_bare_cli_import(self, tmp_path):
         assert loaded_modules(tmp_path, "import rectfree.cli") == {
@@ -829,8 +845,7 @@ class TestImportFootprint:
             "rectfree", "rectfree.errors", "rectfree.generator"}
 
     @pytest.mark.parametrize("argv, modules", [
-        ("gen -n 2 --rows 5",
-         {"checkpoint", "generator", "period", "_hashlib"}),
+        ("gen -n 2 --rows 5", {"checkpoint", "generator", "period"}),
         ("period -n 2 --max-rows 100 --progress-every 0",
          {"checkpoint", "generator", "period"}),
         ("fold -n 2", {"folding", "generator", "matrix", "period",
@@ -839,6 +854,10 @@ class TestImportFootprint:
                                      "matrix", "period", "verify"}),
         ("verify fano.rows -n 2 --aut", {"generator", "matrix", "verify"}),
         ("galfs fano.rows", {"generator", "matrix"}),
+        ("gen -n 2 --rows 5 --out g.rows --checkpoint g.ckpt",
+         {"checkpoint", "generator", "period"}),
+        ("period -n 2 --max-rows 100 --progress-every 0 --checkpoint p.ckpt"
+         " --checkpoint-every-rows 2", {"checkpoint", "generator", "period"}),
     ])
     def test_command_modules(self, tmp_path, argv, modules):
         fano_file(tmp_path)
@@ -852,6 +871,10 @@ class TestImportFootprint:
         assert loaded_modules(tmp_path, code) == {
             "rectfree", "rectfree.cli", "rectfree.errors", "argparse"} | {
             m if m.startswith("_") else f"rectfree.{m}" for m in modules}
+        words = argv.split()
+        if "--checkpoint" in words:  # so the run has hashed a checkpoint
+            path = tmp_path / words[words.index("--checkpoint") + 1]
+            assert load_checkpoint(str(path)).n == 2
 
     def test_star_import_binds_every_name_from_its_home(self):
         namespace: dict = {}

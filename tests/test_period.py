@@ -1,4 +1,5 @@
 """Period detection: exact results, goldens, budget/resume, callbacks."""
+import dataclasses
 import random
 import tracemalloc
 
@@ -9,8 +10,8 @@ from rectfree import (BudgetExhaustedError, InvalidParameterError,
                       PeriodResult, defining_matrix, detect_period,
                       minimal_fold_multiplier, new_generator)
 from rectfree import period
-from rectfree.period import (DEFAULT_WINDOW, _Detector, _minimize_pp,
-                             _pp_from_ring, _Ring, _Table)
+from rectfree.period import (DEFAULT_WINDOW, ResumeState, _Detector,
+                             _minimize_pp, _pp_from_ring, _Ring, _Table)
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
@@ -19,6 +20,8 @@ EXPECTED = {
             rows_examined=140),
     4: dict(pp=0, p=21, b_breadth=16, l_max=21, case1=True,
             rows_examined=21),
+    16: dict(pp=0, p=273, b_breadth=256, l_max=273, case1=True,
+             rows_examined=273),
 }
 
 
@@ -29,6 +32,36 @@ class TestExactResults:
         for field, value in EXPECTED[n].items():
             assert getattr(res, field) == value, (n, field)
         assert res.n == n
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_restart_shortcut_reads_the_ring(self, n, monkeypatch):
+        # Rows 1 .. p come from the ring, not from a second generator.
+        calls = []
+        monkeypatch.setattr(period, "new_generator",
+                            lambda n: calls.append(n) or new_generator(n))
+        res = detect_period(n, 10_000)
+        assert calls == [n]
+        assert res == PeriodResult(n=n, **EXPECTED[n])
+
+    @pytest.mark.parametrize("n, rows", [(2, 5), (4, 15), (16, 200)])
+    def test_restart_shortcut_without_row_1_regenerates(self, n, rows,
+                                                        monkeypatch):
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(n, rows)
+        resume = info.value.resume
+        snap = resume.detector
+        assert snap.ring_first == 1
+        cut = 2  # the ring now starts at row 3
+        trimmed = dataclasses.replace(
+            snap, ring_first=snap.ring_first + cut,
+            ring=snap.ring[cut * (n + 1):], lags=snap.lags[cut:])
+        calls = []
+        monkeypatch.setattr(period, "new_generator",
+                            lambda n: calls.append(n) or new_generator(n))
+        res = detect_period(n, 10_000, resume=ResumeState(
+            resume.generator, trimmed))
+        assert calls == [n]  # the fallback's fresh cursor
+        assert res == detect_period(n, 10_000)
 
     def test_case1_rows_examined_is_quadratic(self):
         # the empty-frontier shortcut fires right after row n^2 + n + 1

@@ -6,6 +6,7 @@ from itertools import combinations
 import _dense
 import pytest
 from _dense import automorphism_count_oracle, isomorphic_oracle
+from _marks import needs_extended
 
 from rectfree import (
     Configuration,
@@ -30,7 +31,8 @@ from rectfree import (
     regenerate_rows,
     verify_configuration,
 )
-from rectfree.verify import _canon_search, _levi_adjacency, _refine
+from rectfree.verify import (DEFAULT_VERTEX_BUDGET, _canon_search,
+                             _levi_adjacency, _levi_search, _refine)
 
 TRIANGLE = [(1, 2), (1, 3), (2, 3)]
 HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
@@ -314,9 +316,28 @@ class TestAutomorphismCount:
     def test_relabel_invariant(self, fano):
         assert automorphism_count(relabel(fano, 11)) == 168
 
-    def test_vertex_budget_enforced(self, fano):
+    def test_vertex_budget_enforced(self, e3_16):
         with pytest.raises(SizeLimitError):
-            automorphism_count(fano, vertex_budget=5)
+            automorphism_count(e3_16, vertex_budget=5)
+
+    def test_desarguesian_plane_is_not_charged(self, fano):
+        # Answered by theorem before the search and its charge, as in
+        # isomorphic.
+        assert automorphism_count(fano, vertex_budget=5) == 168
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_pgammal_order_matches_the_search(self, q):
+        # 168, 5 616, 120 960 (e = 2) and 372 000: the theorem's
+        # e q^3 (q^3 - 1)(q^2 - 1) against the search it skips.
+        plane = relabel(reference_plane(q), q)
+        assert automorphism_count(plane) == \
+            _levi_search(plane, 0, DEFAULT_VERTEX_BUDGET)[1]
+
+    @needs_extended
+    def test_pgammal_order_matches_the_search_for_order_7(self):
+        plane = reference_plane(7)
+        assert automorphism_count(plane) == 5_630_688 == \
+            _levi_search(plane, 0, DEFAULT_VERTEX_BUDGET)[1]
 
 
 class TestCanonicalForm:
