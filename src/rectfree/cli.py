@@ -10,8 +10,10 @@ Subcommands
     Detect the minimal preperiod/period and print a report;
     budget-exhausted runs leave a resumable checkpoint behind.
 ``fold``
-    Detect the period, wrap the construction into a finite symmetric
-    incidence matrix and emit it (sparse text or P1 bitmap).
+    Detect the period, wrap one band of it into a finite symmetric
+    incidence matrix and emit it (sparse text or P1 bitmap).  The rows
+    come from the period the detection run confirmed, so the
+    construction is generated once.
 ``verify``
     Check the configuration axioms of a matrix file, optionally count
     automorphisms, compare against a reference plane, or export the
@@ -51,8 +53,9 @@ from .errors import (BudgetExhaustedError, CheckpointError,
 # them through this module's namespace.
 _IMPORTS = {
     "checkpoint": ("Checkpoint", "EMPTY_ROW_HASH", "RowLog",
-                   "chain_row_hash", "exclusive_lock", "iter_row_log",
-                   "load_checkpoint", "row_line", "save_checkpoint"),
+                   "chain_row_hash", "exclusive_lock", "load_checkpoint",
+                   "row_line", "save_checkpoint"),
+    # regenerate_rows stays only because perfbench/traced_cli.py wraps it.
     "folding": ("FoldParams", "compact_plane", "fold", "regenerate_rows"),
     "generator": ("compute_galfs", "new_generator"),
     "matrix": ("parse_matrix_text",),
@@ -349,24 +352,17 @@ def _emit_matrix(mat, fmt: str, out: str | None) -> None:
 
 def cmd_fold(args) -> int:
     _load("period", "folding")
-    if args.log:
-        _load("checkpoint")
     window = DEFAULT_WINDOW if args.window is None else args.window
     result = detect_period(
         args.n, args.max_rows, window=window,
         on_row=_progress_on_row(args.progress_every, f"fold n={args.n}"))
     if args.compact:
-        rows = (iter_row_log(args.log) if args.log
-                else regenerate_rows(args.n, 1, result.p))
-        mat = compact_plane(args.n, result, rows)
+        mat = compact_plane(args.n, result)
         summary = (f"n={args.n} compact plane: {mat.n_rows} x {mat.n_cols}, "
                    f"p={result.p}")
     else:
         params = FoldParams.for_period(result, m=args.m, v=args.v)
-        rows = (iter_row_log(args.log) if args.log
-                else regenerate_rows(args.n, params.v + 1,
-                                     params.v + params.p_bar))
-        mat = fold(args.n, result, params, rows,
+        mat = fold(args.n, result, params,
                    allow_unproven=args.allow_unproven)
         summary = (f"n={args.n} fold: {mat.n_rows} x {mat.n_cols}, "
                    f"pp={result.pp} p={result.p} m={params.m} "
@@ -511,9 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "relying on the exhaustive rectangle check")
     p.add_argument("--format", choices=("sparse", "p1"), default="sparse",
                    help="output format (default sparse text)")
-    p.add_argument("--log", metavar="PATH",
-                   help="replay rows from this row log instead of "
-                   "regenerating them")
     p.add_argument("--out", metavar="PATH",
                    help="matrix file (default: matrix to stdout)")
     _add_progress(p)

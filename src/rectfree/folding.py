@@ -114,31 +114,20 @@ def _check_fold(period: PeriodResult, params: FoldParams,
     return False
 
 
-def _collect_rows(rows, lo: int, hi: int) -> dict[int, tuple[int, ...]]:
-    """Index rows lo..hi from an iterable of SparseRow or (k, ones)."""
-    wanted: dict[int, tuple[int, ...]] = {}
-    for item in rows:
-        if isinstance(item, SparseRow):
-            k, ones = item.index, item.ones
-        else:
-            k, ones = item
-        if lo <= k <= hi and k not in wanted:
-            wanted[k] = tuple(ones)
-    missing = [k for k in range(lo, hi + 1) if k not in wanted]
-    if missing:
+def _period_offsets(n: int, period: PeriodResult):
+    """``period.offsets``, refused unless it holds p*(n+1) offsets."""
+    if len(period.offsets) != period.p * (n + 1):
         raise InvalidParameterError(
-            f"rows {missing[0]}..{missing[-1]} ({len(missing)} of "
-            f"{hi - lo + 1}) are missing from the supplied row source")
-    return wanted
+            f"the period result holds {len(period.offsets)} offsets, not "
+            f"p*(n+1) = {period.p * (n + 1)}")
+    return period.offsets
 
 
-def fold(n: int, period: PeriodResult, fold_params: FoldParams, rows, *,
+def fold(n: int, period: PeriodResult, fold_params: FoldParams, *,
          allow_unproven: bool = False) -> IncidenceMatrix:
     """Wrap rows v+1..v+p_bar into a p_bar x p_bar incidence matrix.
 
-    ``rows`` is any iterable of SparseRow or (index, ones) pairs that
-    covers rows v+1..v+p_bar of the order-``n`` construction (a row-log
-    replay or a fresh generator run; extra rows are ignored).
+    The rows come from ``period.offsets``.
 
     Raises a constraint violation when the fold hypotheses fail (see
     module docstring for the ``allow_unproven`` escape hatch) and an
@@ -146,14 +135,15 @@ def fold(n: int, period: PeriodResult, fold_params: FoldParams, rows, *,
     wrapped matrix misses any of its proven properties.
     """
     guaranteed = _check_fold(period, fold_params, allow_unproven)
+    offsets, w = _period_offsets(n, period), n + 1
     p_bar, r, v = fold_params.p_bar, fold_params.r, fold_params.v
-    source = _collect_rows(rows, v + 1, v + p_bar)
 
     out_rows = []
     for i in range(1, p_bar + 1):
+        start = (v + i - period.pp - 1) % period.p * w
         wrapped = []
-        for c in source[v + i]:
-            c_off = c - v
+        for e in offsets[start:start + w]:
+            c_off = i + e  # the one's column minus v
             j = (c_off - 1) % p_bar + 1
             shift = j - c_off
             in_band = ((shift == 0 and abs(j - i) <= r)
@@ -161,8 +151,8 @@ def fold(n: int, period: PeriodResult, fold_params: FoldParams, rows, *,
                        or (shift == -p_bar and j < i - r))
             if not in_band:
                 raise InvariantViolationError(
-                    f"one at row {v + i}, column {c} falls outside every "
-                    f"wrap band (got column {j}, shift {shift})")
+                    f"one at row {v + i}, column {v + c_off} falls outside "
+                    f"every wrap band (got column {j}, shift {shift})")
             wrapped.append(j)
         wrapped.sort()
         if any(wrapped[t] == wrapped[t + 1] for t in range(len(wrapped) - 1)):
@@ -183,10 +173,10 @@ def fold(n: int, period: PeriodResult, fold_params: FoldParams, rows, *,
     return matrix
 
 
-def compact_plane(n: int, period: PeriodResult, rows) -> IncidenceMatrix:
+def compact_plane(n: int, period: PeriodResult) -> IncidenceMatrix:
     """The p x p leading principal submatrix, defined when pp = 0.
 
-    ``rows`` must cover rows 1..p of the order-``n`` construction.
+    Rows 1..p come from ``period.offsets``.
     For these zero-preperiod orders no one of rows 1..p lies beyond
     column p, so the submatrix simply reads off the rows; weights and
     symmetry are still checked, and rectangle-freeness — inherited from
@@ -199,13 +189,15 @@ def compact_plane(n: int, period: PeriodResult, rows) -> IncidenceMatrix:
     if p > MAX_FOLD_SIZE:
         raise SizeLimitError(
             f"compact side {p} exceeds the limit {MAX_FOLD_SIZE}")
-    source = _collect_rows(rows, 1, p)
-    for k in range(1, p + 1):
-        if source[k] and source[k][-1] > p:
+    offsets, w = _period_offsets(n, period), n + 1
+    rows = tuple(tuple(k + e for e in offsets[(k - 1) * w:k * w])
+                 for k in range(1, p + 1))
+    for k, ones in enumerate(rows, 1):
+        if ones[-1] > p:
             raise InvariantViolationError(
-                f"row {k} has a one at column {source[k][-1]} > p = {p}; "
-                f"the supplied rows cannot be a zero-preperiod prefix")
-    matrix = IncidenceMatrix(p, p, tuple(source[k] for k in range(1, p + 1)))
+                f"row {k} has a one at column {ones[-1]} > p = {p}; "
+                f"the offsets cannot be a zero-preperiod prefix")
+    matrix = IncidenceMatrix(p, p, rows)
     _verify_matrix(matrix, n, what="compact form")
     rect = find_rectangle(matrix.rows)
     if rect is not None:
@@ -235,6 +227,7 @@ def regenerate_rows(n: int, first: int, last: int) -> list[SparseRow]:
 
     Streams a fresh generator and keeps only the requested range, so
     memory stays proportional to the range even for huge ``first``.
+    Folding never calls it; it is the slow oracle for fold output.
     """
     if first < 1 or last < first:
         raise InvalidParameterError(

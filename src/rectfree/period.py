@@ -103,11 +103,14 @@ class PeriodResult:
     ``b_breadth`` is the largest |column - row| over ones in rows
     (pp, pp+p]; ``l_max`` the largest row length there.  ``case1`` marks
     the restart shortcut.  ``rows_examined`` counts the rows generated by
-    the detection cursor, resumed runs included.  Rows generated by any
-    other cursor are not counted: the restart shortcut's 2p fresh rows,
-    and the fallback preperiod pass, which regenerates rows 1 through
-    k0 - 1 + p when the ring no longer reaches back to the last row-shift
-    mismatch (after a resume mid-verification, for example).
+    the detection cursor, resumed runs included.  Rows that a resumed run
+    regenerates from row 1 are not counted: rows 1..p for the restart
+    shortcut when the ring starts after row 1, and rows 1 through
+    k0 - 1 + p for pp when the ring no longer reaches back to the last
+    row-shift mismatch.  ``offsets`` is one period, in the ring's flat
+    layout: the diagonal offsets (one-columns minus the row index, n + 1
+    per row) of rows pp+1..pp+p.  Row r > pp has its ones at r plus the
+    offsets of row pp + 1 + (r - pp - 1) mod p.
     """
 
     n: int
@@ -117,6 +120,8 @@ class PeriodResult:
     l_max: int
     case1: bool
     rows_examined: int
+    offsets: array = field(default_factory=lambda: array("b"),
+                           compare=False, repr=False)
 
 
 def minimal_fold_multiplier(result: PeriodResult) -> int:
@@ -533,7 +538,8 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     and pp is the last row before k0 where the identity fails.  pp is
     read from the detector's ring; a second cursor regenerates rows from
     row 1 only when the ring starts after that row (after a resume
-    mid-verification, whose ring starts at k0).
+    mid-verification, whose ring starts at k0).  The verified period's
+    rows, also read from the ring, go into ``offsets``.
     """
     if max_rows < 1:
         raise InvalidParameterError(f"max_rows must be >= 1, got {max_rows}")
@@ -564,9 +570,15 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     ring = det.ring
     record, deq = det.table.record, det.deq
 
-    def finish(pp: int, p: int, b: int, lm: int, case1: bool) -> PeriodResult:
+    def finish(pp: int, p: int, held: _Ring, lo: int, case1: bool
+               ) -> PeriodResult:
+        # Rows lo .. lo + p - 1 of ``held``: one period, from row pp + 1 on.
+        b, lm = _measure(held, lo, lo + p)
+        once = held.rows(lo, lo + p)
+        cut = (pp + 1 - lo) % p * (n + 1)
         return PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
-                            case1=case1, rows_examined=gen.rows_emitted)
+                            case1=case1, rows_examined=gen.rows_emitted,
+                            offsets=once[cut:] + once[:cut])
 
     if candidate is not None:
         # Continue an interrupted verification; its rows k0 .. last row
@@ -619,9 +631,7 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                     fk, fones = fresh._advance()
                     once.extend([j - fk for j in fones])
             encs = _Ring(2 * p, n + 1, offs=once + once)  # lags unused
-            p = _minimize_p(encs, 0, p)
-            b, lm = _measure(encs, 1, p + 1)
-            return finish(0, p, b, lm, True)
+            return finish(0, _minimize_p(encs, 0, p), encs, 1, True)
 
         if candidate is not None:
             k0, p = candidate
@@ -633,11 +643,10 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             if ring.rows(k0, k0 + p + sigma) == \
                     ring.rows(k0 + p, k0 + 2 * p + sigma):
                 p = _minimize_p(ring, k0, p)
-                b, lm = _measure(ring, k0 + 1, k0 + p + 1)
                 pp = _pp_from_ring(ring, k0, p)
                 if pp is None:
                     pp = _minimize_pp(n, k0, p)
-                return finish(pp, p, b, lm, False)
+                return finish(pp, p, ring, k0 + 1, False)
             continue  # fingerprint collision; keep scanning
 
         if hit is None:

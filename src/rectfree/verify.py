@@ -18,6 +18,7 @@ lines to lines; dualities (point/line swaps) are never counted.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -273,19 +274,21 @@ def is_desarguesian(c: Configuration) -> bool:
     q = c.k - 1
     if q < 2 or c.v != q * q + q + 1:
         return False
-    # Join map: unordered point pair -> its unique line.
-    join: dict[tuple[int, int], int] = {}
+    # Join map: the line of point pair a < b at a*(v+1) + b, 0 if none.
+    stride = c.v + 1
+    join = array("i", [0]) * (stride * stride)
     for li, pts in enumerate(c.incidence, 1):
-        for pair in combinations(pts, 2):
-            if pair in join:
+        for a, b in combinations(pts, 2):
+            if join[a * stride + b]:
                 return False  # two lines share two points
-            join[pair] = li
-    if len(join) != c.v * (c.v - 1) // 2:
+            join[a * stride + b] = li
+    if sum(len(pts) * (len(pts) - 1) for pts in c.incidence) \
+            != c.v * (c.v - 1):
         return False  # some point pair is not joined
     line_pts = [frozenset(pts) for pts in c.incidence]
 
     def joi(a: int, b: int) -> int:
-        return join[(a, b) if a < b else (b, a)]
+        return join[a * stride + b if a < b else b * stride + a]
 
     def meet(l1: int, l2: int) -> int:
         common = line_pts[l1 - 1] & line_pts[l2 - 1]

@@ -38,7 +38,6 @@ from rectfree import (
     log_prefix_hash,
     new_generator,
     reference_plane,
-    regenerate_rows,
     save_checkpoint,
     verify_configuration,
 )
@@ -63,7 +62,7 @@ class TestPlaneOrders:
     def test_golden_three_by_three(self):
         started = time.perf_counter()
         result = detect_period(1, 100)
-        matrix = compact_plane(1, result, generate_prefix(1, 3))
+        matrix = compact_plane(1, result)
         assert matrix.to_dense() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
         assert time.perf_counter() - started < 1.0
 
@@ -71,8 +70,7 @@ class TestPlaneOrders:
         started = time.perf_counter()
         for n in (2, 4):
             result = detect_period(n, 1_000)
-            matrix = compact_plane(n, result,
-                                   generate_prefix(n, result.p))
+            matrix = compact_plane(n, result)
             config = as_config(matrix, n)
             assert is_projective_plane(config) is True
             assert isomorphic(config, reference_plane(n)) is True
@@ -81,7 +79,7 @@ class TestPlaneOrders:
     def test_order16_compact_plane_within_budget(self):
         started = time.perf_counter()
         result = detect_period(16, 1_000)
-        matrix = compact_plane(16, result, generate_prefix(16, 273))
+        matrix = compact_plane(16, result)
         config = as_config(matrix, 16)
         assert (config.v, config.k) == (273, 17)
         assert is_projective_plane(config) is True
@@ -105,9 +103,7 @@ class TestOrderThree:
         result = detect_period(3, 1_000)
         assert (result.pp, result.p) == (48, 16), result
         params = FoldParams.for_period(result, m=1)
-        matrix = fold(3, result, params,
-                      regenerate_rows(3, params.v + 1, params.v + 16),
-                      allow_unproven=True)
+        matrix = fold(3, result, params, allow_unproven=True)
         config = as_config(matrix, 3)
         assert (config.v, config.k) == (16, 4)
         assert is_projective_plane(config) is False
@@ -125,9 +121,7 @@ class TestOrderFiveExtended:
         assert params.p_bar == 31
         breadth_ok, length_ok = hypothesis_status(result, params)
         assert breadth_ok
-        matrix = fold(5, result, params,
-                      regenerate_rows(5, params.v + 1, params.v + 31),
-                      allow_unproven=not length_ok)
+        matrix = fold(5, result, params, allow_unproven=not length_ok)
         config = as_config(matrix, 5)
         assert is_projective_plane(config) is True
         assert isomorphic(config, reference_plane(5)) is True
@@ -256,16 +250,13 @@ class TestFoldReverification:
         period2 = detect_period(2, 100)
         period3 = detect_period(3, 1_000)
         accepted = [
-            (compact_plane(1, period1, generate_prefix(1, 3)), 1),
-            (compact_plane(2, period2, generate_prefix(2, 7)), 2),
-            (fold(1, period1, FoldParams.for_period(period1, m=2),
-                  regenerate_rows(1, 7, 12)), 1),
-            (fold(2, period2, FoldParams.for_period(period2),
-                  regenerate_rows(2, 15, 28)), 2),
+            (compact_plane(1, period1), 1),
+            (compact_plane(2, period2), 2),
+            (fold(1, period1, FoldParams.for_period(period1, m=2)), 1),
+            (fold(2, period2, FoldParams.for_period(period2)), 2),
             (fold(3, period3, FoldParams.for_period(period3, m=1),
-                  regenerate_rows(3, 65, 80), allow_unproven=True), 3),
-            (fold(3, period3, FoldParams.for_period(period3),
-                  regenerate_rows(3, 81, 112)), 3),
+                  allow_unproven=True), 3),
+            (fold(3, period3, FoldParams.for_period(period3)), 3),
         ]
         for matrix, n in accepted:
             self.reverify_independently(matrix, n)
@@ -278,4 +269,4 @@ class TestFoldReverification:
         assert params.p_bar <= 2 * (period.l_max - 2)
         with pytest.raises(ConstraintViolationError,
                            match="far below the provably safe"):
-            fold(1, period, params, [])
+            fold(1, period, params)

@@ -13,8 +13,9 @@ from importlib import import_module
 import pytest
 
 import rectfree
-from rectfree import (IncidenceMatrix, InvariantViolationError,
-                      generate_prefix, load_checkpoint, save_checkpoint)
+from rectfree import (GeneratorState, IncidenceMatrix,
+                      InvariantViolationError, generate_prefix,
+                      load_checkpoint, save_checkpoint)
 from rectfree import cli
 from rectfree.period import _Detector
 from rectfree.cli import (
@@ -589,15 +590,22 @@ class TestFold:
         assert main(["fold", "-n", "3", "--compact"]) == EXIT_USAGE
         assert "preperiod 0" in capsys.readouterr().err
 
-    def test_log_replay_matches_regeneration(self, tmp_path, capsys):
-        assert main(["fold", "-n", "3"]) == EXIT_OK
-        regenerated = capsys.readouterr().out
-        log = tmp_path / "n3.rows"
-        assert main(["gen", "-n", "3", "--rows", "112", "--out", str(log),
-                     "--progress-every", "0"]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["fold", "-n", "3", "--log", str(log)]) == EXIT_OK
-        assert capsys.readouterr().out == regenerated
+    @pytest.mark.parametrize("argv", [
+        ["fold", "-n", "3"],
+        ["fold", "-n", "16", "--compact", "--format", "p1"]])
+    def test_fold_generates_each_row_once(self, argv, capsys, monkeypatch):
+        # Every row comes from the detection pass: none is regenerated.
+        advances = []
+        results = []
+        advance = GeneratorState._advance
+        detect = cli.detect_period
+        monkeypatch.setattr(GeneratorState, "_advance",
+                            lambda self: advances.append(1) or advance(self))
+        monkeypatch.setattr(cli, "detect_period", lambda *a, **kw:
+                            results.append(detect(*a, **kw)) or results[-1])
+        assert main(argv) == EXIT_OK
+        assert len(results) == 1
+        assert len(advances) == results[0].rows_examined > 0
 
     def test_progress_goes_to_stderr_only(self, capsys):
         assert main(["fold", "-n", "3", "--progress-every", "0"]) == EXIT_OK
@@ -802,7 +810,7 @@ class TestTracedHarness:
         matrix = str(tmp_path / "f3.rows")
         for argv, spans in [
                 (["fold", "-n", "3", "-m", "10", "--out", matrix],
-                 ["detect_period", "regenerate_rows", "fold",
+                 ["detect_period", "fold",
                   "IncidenceMatrix.to_sparse_text"]),
                 (["verify", matrix, "-n", "3", "--aut"],
                  ["parse_matrix_text", "verify_configuration",
@@ -850,8 +858,8 @@ class TestImportFootprint:
          {"checkpoint", "generator", "period"}),
         ("fold -n 2", {"folding", "generator", "matrix", "period",
                        "verify"}),
-        ("fold -n 2 --log n2.rows", {"checkpoint", "folding", "generator",
-                                     "matrix", "period", "verify"}),
+        ("fold -n 2 --compact", {"folding", "generator", "matrix",
+                                 "period", "verify"}),
         ("verify fano.rows -n 2 --aut", {"generator", "matrix", "verify"}),
         ("galfs fano.rows", {"generator", "matrix"}),
         ("gen -n 2 --rows 5 --out g.rows --checkpoint g.ckpt",
@@ -861,9 +869,6 @@ class TestImportFootprint:
     ])
     def test_command_modules(self, tmp_path, argv, modules):
         fano_file(tmp_path)
-        (tmp_path / "n2.rows").write_text(
-            "".join(f"{r.index}\t{','.join(map(str, r.ones))}\n"
-                    for r in generate_prefix(2, 50)), encoding="ascii")
         code = ("import contextlib, io\n"
                 "from rectfree.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"

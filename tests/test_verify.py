@@ -1,4 +1,5 @@
 """Configuration axioms, plane recognition, isomorphism, automorphisms."""
+import dataclasses
 import hashlib
 import random
 from itertools import combinations
@@ -28,7 +29,6 @@ from rectfree import (
     isomorphic,
     levi_dot,
     reference_plane,
-    regenerate_rows,
     verify_configuration,
 )
 from rectfree.verify import (DEFAULT_VERTEX_BUDGET, _canon_search,
@@ -81,8 +81,7 @@ def e3_16():
 @pytest.fixture(scope="module")
 def e3_32():
     period = detect_period(3, 1000)
-    matrix = fold(3, period, FoldParams.for_period(period),
-                  regenerate_rows(3, 81, 112))
+    matrix = fold(3, period, FoldParams.for_period(period))
     return verify_configuration(matrix, 3)
 
 
@@ -91,8 +90,7 @@ def fold_160():
     """The 160_4 fold that ``rectfree fold -n 3 -m 10`` prints."""
     period = detect_period(3, 1000)
     params = FoldParams.for_period(period, m=10)
-    matrix = fold(3, period, params,
-                  regenerate_rows(3, params.v + 1, params.v + params.p_bar))
+    matrix = fold(3, period, params)
     return verify_configuration(matrix, 3)
 
 
@@ -224,7 +222,7 @@ class TestProjectivePlane:
 
     def test_compact_order4_is_a_plane(self):
         period = detect_period(4, 100)
-        matrix = compact_plane(4, period, generate_prefix(4, 21))
+        matrix = compact_plane(4, period)
         config = verify_configuration(matrix, 4)
         assert isinstance(config, Configuration)
         assert (config.v, config.k) == (21, 5)
@@ -264,12 +262,21 @@ class TestDesarguesian:
     def test_relabel_invariant(self):
         assert is_desarguesian(relabel(reference_plane(9), 31)) is True
 
+    @pytest.mark.parametrize("q", [2, 3, 16])
+    def test_a_doubled_pair_is_not(self, q):
+        # Line 2 repeats line 1, so a pair lies on two lines and another
+        # pair on none: the sizes of a plane, not its axioms.
+        plane = reference_plane(q)
+        lines = list(plane.incidence)
+        lines[1] = lines[0]
+        assert is_desarguesian(dataclasses.replace(
+            plane, incidence=tuple(lines))) is False
+
 
 class TestIsomorphic:
     def test_compact_fano_matches_reference(self):
         period = detect_period(2, 100)
-        config = verify_configuration(
-            compact_plane(2, period, generate_prefix(2, 7)), 2)
+        config = verify_configuration(compact_plane(2, period), 2)
         assert isomorphic(config, reference_plane(2)) is True
 
     def test_relabel_invariance(self, fano):
@@ -353,8 +360,7 @@ class TestCanonicalForm:
 
     def test_fold_base_offset_invisible(self, e3_32):
         period = detect_period(3, 1000)
-        shifted = fold(3, period, FoldParams.for_period(period, v=85),
-                       regenerate_rows(3, 86, 117))
+        shifted = fold(3, period, FoldParams.for_period(period, v=85))
         other = verify_configuration(shifted, 3)
         assert shifted.rows != e3_32.incidence  # genuinely different labels
         assert canonical_form(other) == canonical_form(e3_32)
