@@ -36,8 +36,9 @@ _EXPORTS = {
         "parse_row_line"),
     "matrix": ("IncidenceMatrix", "parse_matrix_text"),
     "period": (
-        "DefiningMatrix", "DetectorSnapshot", "PeriodResult", "ResumeState",
-        "defining_matrix", "detect_period", "minimal_fold_multiplier"),
+        "Cadence", "DefiningMatrix", "DetectorSnapshot", "PeriodResult",
+        "ResumeState", "defining_matrix", "detect_period",
+        "minimal_fold_multiplier"),
     "verify": (
         "Configuration", "ConfigurationViolation", "automorphism_count",
         "canonical_form", "find_rectangle", "is_desarguesian",

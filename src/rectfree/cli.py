@@ -29,16 +29,18 @@ error (a failed invariant: a bug in rectfree, not a finding).
 
 Everything written to standard output is deterministic for a fixed
 command line and input files; progress and timing lines go to standard
-error only.  The environment variable ``RECTFREE_CHECKPOINT_DIR`` names
-a directory used for checkpoint files when ``--checkpoint`` is not
-given; without either, runs do not checkpoint.
+error only.  Progress lines and in-loop checkpoints come at the checks
+of one :class:`~rectfree.period.Cadence` per run, and a progress line
+reports the rate of the rows this process generated.  The environment
+variable ``RECTFREE_CHECKPOINT_DIR`` names a directory used for
+checkpoint files when ``--checkpoint`` is not given; without either,
+runs do not checkpoint.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-import time
 from contextlib import nullcontext
 from importlib import import_module
 
@@ -59,7 +61,8 @@ _IMPORTS = {
     "folding": ("FoldParams", "compact_plane", "fold", "regenerate_rows"),
     "generator": ("compute_galfs", "new_generator"),
     "matrix": ("parse_matrix_text",),
-    "period": ("DEFAULT_WINDOW", "detect_period", "minimal_fold_multiplier"),
+    "period": ("Cadence", "DEFAULT_WINDOW", "detect_period",
+               "minimal_fold_multiplier"),
     "verify": ("Configuration", "automorphism_count", "is_projective_plane",
                "isomorphic", "levi_dot", "reference_plane",
                "verify_configuration"),
@@ -130,43 +133,15 @@ def _writer_lock(ckpt_path: str | None):
     return exclusive_lock(ckpt_path + ".lock", f"checkpoint {ckpt_path}")
 
 
-def _check_cadence(args) -> None:
-    """Refuse checkpoint cadences that never advance, before any file is
-    read: a zero-row cadence would make ``period`` rewrite its checkpoint
-    forever without generating a row."""
-    if args.checkpoint_every_rows < 1:
-        raise InvalidParameterError(
-            f"--checkpoint-every-rows must be >= 1, got "
-            f"{args.checkpoint_every_rows}")
-    if not args.checkpoint_every_seconds > 0:
-        raise InvalidParameterError(
-            f"--checkpoint-every-seconds must be > 0, got "
-            f"{args.checkpoint_every_seconds}")
-
-
-class _Progress:
-    """Rate-limited progress lines on standard error."""
-
-    def __init__(self, interval: float, label: str):
-        self.interval = interval
-        self.label = label
-        self.start = self.last = time.monotonic()
-
-    def step(self, rows: int) -> None:
-        now = time.monotonic()
-        if now - self.last >= self.interval:
-            rate = rows / (now - self.start) if now > self.start else 0.0
-            print(f"{self.label}: {rows} rows, {rate:.0f} rows/s",
-                  file=sys.stderr, flush=True)
-            self.last = now
-
-
-def _progress_on_row(interval: float, label: str):
-    """An ``on_row`` callback printing progress, or None when it is off."""
-    if interval <= 0:
-        return None
-    progress = _Progress(interval, label)
-    return lambda k, ones: progress.step(k)
+def _cadence(args) -> Cadence:
+    """The command's cadence, checked before any file is read (``fold``
+    has no checkpoint flags)."""
+    return Cadence(
+        checkpoint_every_rows=getattr(args, "checkpoint_every_rows", None),
+        checkpoint_every_seconds=getattr(args, "checkpoint_every_seconds",
+                                         None),
+        progress_every=args.progress_every,
+        label=f"{args.command} n={args.n}")
 
 
 # -- gen ---------------------------------------------------------------------
@@ -194,14 +169,14 @@ class _StdoutSink:
 
 
 def cmd_gen(args) -> int:
-    _load("checkpoint", "generator")
+    _load("checkpoint", "generator", "period")
     if args.rows < 1:
         raise InvalidParameterError(
             f"--rows must be a positive total, got {args.rows}")
-    _check_cadence(args)
+    cadence = _cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "gen", args.n)
     with _writer_lock(ckpt_path):
-        gen = _gen_rows(args, ckpt_path)
+        gen = _gen_rows(args, ckpt_path, cadence)
     report = [f"rows: {gen.rows_emitted}"]
     if args.out:
         report.append(f"row log: {args.out}")
@@ -213,7 +188,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _gen_rows(args, ckpt_path: str | None):
+def _gen_rows(args, ckpt_path: str | None, cadence: Cadence):
     """Emit rows up to ``args.rows`` in all, saving on the cadence and at
     the end; returns the generator."""
     cp = _load_for(ckpt_path, args.n)
@@ -234,35 +209,26 @@ def _gen_rows(args, ckpt_path: str | None):
 
     def save() -> None:
         sink.sync()
-        save_checkpoint(Checkpoint.capture(
-            gen, row_hash=sink.row_hash, log_offset=sink.offset), ckpt_path)
+        if ckpt_path:
+            save_checkpoint(Checkpoint.capture(
+                gen, row_hash=sink.row_hash, log_offset=sink.offset),
+                ckpt_path)
 
+    if ckpt_path:
+        cadence.save = save
     next_row = gen.next_row
     append = sink.append
-    on_row = _progress_on_row(args.progress_every, f"gen n={args.n}")
-    every_rows = args.checkpoint_every_rows
-    every_s = args.checkpoint_every_seconds
-    monotonic = time.monotonic
-    saved = None  # rows emitted at this run's last save
-    due_row = gen.rows_emitted + every_rows
-    due_time = monotonic() + every_s
+    first = gen.rows_emitted
+    cadence.start(first)
     try:
-        for _ in range(args.rows - gen.rows_emitted):
+        for _ in range(args.rows - first):
             row = next_row()
             append(row.index, row.ones)
-            if on_row is not None:
-                on_row(row.index, row.ones)
-            if ckpt_path and (row.index >= due_row or
-                              monotonic() >= due_time):
-                save()
-                saved = row.index
-                due_row = saved + every_rows
-                due_time = monotonic() + every_s
-        if saved != gen.rows_emitted:
-            if ckpt_path:
-                save()
-            else:
-                sink.sync()
+            if row.index >= cadence.next_row:
+                cadence.check(row.index)
+        # The last row is saved unless a check of this run just saved it.
+        if cadence.saved == first or cadence.saved != gen.rows_emitted:
+            save()
     finally:
         sink.close()
     return gen
@@ -284,51 +250,11 @@ def _report_period(result) -> list[str]:
 
 def cmd_period(args) -> int:
     _load("checkpoint", "period")
-    _check_cadence(args)
+    cadence = _cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "period", args.n)
-    with _writer_lock(ckpt_path):
-        return _detect(args, ckpt_path)
-
-
-def _detect(args, ckpt_path: str | None) -> int:
-    cp = _load_for(ckpt_path, args.n)
-    # The restored cursor, popped into the detect_period call below so
-    # that no name here holds the loaded ring while the restored detector
-    # holds its copy (CPython 3.11 and later hand call arguments over to
-    # the callee's frame).
-    resume = []
-    window = DEFAULT_WINDOW if args.window is None else args.window
-    if cp is not None:
-        if cp.detector is None:
-            raise InvalidParameterError(
-                f"checkpoint {ckpt_path} has no detector state; it cannot "
-                f"seed period detection")
-        # A resumed detector keeps the window it was saved with.
-        if args.window is not None and args.window != cp.detector.window:
-            raise InvalidParameterError(
-                f"--window {args.window} differs from the window "
-                f"{cp.detector.window} of checkpoint {ckpt_path}")
-        window = cp.detector.window
-        resume.append(cp.restore_resume())
-        cp = None
-
-    def save(state) -> None:
-        save_checkpoint(Checkpoint.capture(
-            state.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
-            detector=state.detector), ckpt_path)
-
     try:
-        result = detect_period(
-            args.n, args.max_rows, window=window,
-            resume=resume.pop() if resume else None,
-            on_row=_progress_on_row(args.progress_every,
-                                    f"period n={args.n}"),
-            on_checkpoint=save if ckpt_path else None,
-            checkpoint_every_rows=args.checkpoint_every_rows,
-            checkpoint_every_seconds=args.checkpoint_every_seconds)
+        result = _detect(args, cadence, ckpt_path)
     except BudgetExhaustedError as exc:
-        if ckpt_path:
-            save(exc.resume)
         print(f"n={args.n} budget exhausted after {exc.rows_examined} "
               f"rows; no period confirmed")
         if ckpt_path:
@@ -337,6 +263,51 @@ def _detect(args, ckpt_path: str | None) -> int:
     for line in _report_period(result):
         print(line)
     return EXIT_OK
+
+
+def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
+    """Detect the period of order ``args.n`` under ``cadence``.  A
+    checkpoint path is locked for the run; the checkpoint there, if any,
+    seeds detection, and the cadence's saves and the state of a run whose
+    budget runs out go there before :class:`BudgetExhaustedError`
+    propagates."""
+    with _writer_lock(ckpt_path):
+        cp = _load_for(ckpt_path, args.n)
+        # The restored cursor, popped into the detect_period call below so
+        # that no name here holds the loaded ring while the restored
+        # detector holds its copy (CPython 3.11 and later hand call
+        # arguments over to the callee's frame).
+        resume = []
+        window = DEFAULT_WINDOW if args.window is None else args.window
+        if cp is not None:
+            if cp.detector is None:
+                raise InvalidParameterError(
+                    f"checkpoint {ckpt_path} has no detector state; it "
+                    f"cannot seed period detection")
+            # A resumed detector keeps the window it was saved with.
+            if args.window is not None and args.window != cp.detector.window:
+                raise InvalidParameterError(
+                    f"--window {args.window} differs from the window "
+                    f"{cp.detector.window} of checkpoint {ckpt_path}")
+            window = cp.detector.window
+            resume.append(cp.restore_resume())
+            cp = None
+
+        def save(state) -> None:
+            save_checkpoint(Checkpoint.capture(
+                state.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
+                detector=state.detector), ckpt_path)
+
+        if ckpt_path:
+            cadence.save = save
+        try:
+            return detect_period(args.n, args.max_rows, window=window,
+                                 resume=resume.pop() if resume else None,
+                                 cadence=cadence)
+        except BudgetExhaustedError as exc:
+            if ckpt_path:
+                save(exc.resume)
+            raise
 
 
 # -- fold --------------------------------------------------------------------
@@ -352,10 +323,7 @@ def _emit_matrix(mat, fmt: str, out: str | None) -> None:
 
 def cmd_fold(args) -> int:
     _load("period", "folding")
-    window = DEFAULT_WINDOW if args.window is None else args.window
-    result = detect_period(
-        args.n, args.max_rows, window=window,
-        on_row=_progress_on_row(args.progress_every, f"fold n={args.n}"))
+    result = _detect(args, _cadence(args))
     if args.compact:
         mat = compact_plane(args.n, result)
         summary = (f"n={args.n} compact plane: {mat.n_rows} x {mat.n_cols}, "

@@ -29,6 +29,7 @@ k-1, so pp = 0 and p = k-1 immediately (``case1`` in the result).
 """
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ from .generator import GeneratorState, Params, new_generator
 DEFAULT_WINDOW = 1 << 17
 
 _MOD = (1 << 61) - 1
+_INF = float("inf")
+_NEVER = 1 << 62  # a row count no run reaches
 _B = 0x2545F4914F6CDD1D % _MOD
 
 
@@ -512,12 +515,88 @@ def _minimize_p(ring: _Ring, k0: int, p: int) -> int:
             return p
 
 
+class Cadence:
+    """When a long row loop saves its state and prints progress.
+
+    The loop calls :meth:`start` with its row count, then :meth:`check`
+    after each row that reaches ``next_row``: one integer compare per
+    row.  Only a check reads the clock.  It calls the ``save`` hook once
+    ``checkpoint_every_rows`` rows or ``checkpoint_every_seconds``
+    seconds (None: never) have passed since the last save or the start,
+    and prints ``label: <rows> rows, <rate> rows/s`` on standard error
+    every ``progress_every`` seconds (0: never), at the rate of this
+    run's rows.  The next check comes at the row the next save is due at
+    or, sooner, where the measured rate reaches the next due time, at
+    most twice the last step on.  Errors name the command-line options.
+    """
+
+    __slots__ = ("label", "save", "every_rows", "every_seconds", "interval",
+                 "next_row", "saved", "_rows0", "_t0", "_save_at",
+                 "_show_at", "_step")
+
+    def __init__(self, *, checkpoint_every_rows: int | None = None,
+                 checkpoint_every_seconds: float | None = None,
+                 progress_every: float = 0.0, label: str = "rows",
+                 save=None):
+        if checkpoint_every_rows is not None and checkpoint_every_rows < 1:
+            raise InvalidParameterError(
+                f"--checkpoint-every-rows must be >= 1, got "
+                f"{checkpoint_every_rows}")
+        if checkpoint_every_seconds is not None and \
+                not checkpoint_every_seconds > 0:
+            raise InvalidParameterError(
+                f"--checkpoint-every-seconds must be > 0, got "
+                f"{checkpoint_every_seconds}")
+        if not progress_every >= 0:
+            raise InvalidParameterError(
+                f"--progress-every must be >= 0, got {progress_every}")
+        self.label, self.save = label, save
+        self.every_rows = checkpoint_every_rows or _NEVER
+        self.every_seconds = checkpoint_every_seconds or _INF
+        self.interval = progress_every or _INF
+
+    def start(self, rows: int) -> None:
+        """Begin a run at ``rows`` rows, which count as saved; the first
+        check comes one row on."""
+        self._rows0 = self.saved = rows
+        self.next_row = rows + 1
+        self._t0 = now = monotonic()
+        self._save_at = _INF if self.save is None else now + self.every_seconds
+        self._show_at = now + self.interval
+        self._step = 1
+
+    def check(self, rows: int, make_state=None) -> None:
+        """Save and print what is due at ``rows`` rows, and set
+        ``next_row``.  The save hook gets ``make_state()`` when it is
+        given, so that a state is built only to be saved."""
+        now = monotonic()
+        save = self.save
+        if save is not None and (rows - self.saved >= self.every_rows or
+                                 now >= self._save_at):
+            if make_state is None:
+                save()
+            else:
+                save(make_state())
+            self.saved = rows
+            now = monotonic()
+            self._save_at = now + self.every_seconds
+        ran = now - self._t0
+        rate = (rows - self._rows0) / ran if ran > 0 else 0.0
+        if now >= self._show_at:
+            print(f"{self.label}: {rows} rows, {rate:.0f} rows/s",
+                  file=sys.stderr, flush=True)
+            self._show_at = now + self.interval
+        self.next_row = _NEVER if save is None else \
+            self.saved + self.every_rows
+        due = min(self._save_at, self._show_at)
+        if due < _INF:
+            self._step = max(1, min(2 * self._step, int((due - now) * rate)))
+            self.next_row = min(self.next_row, rows + self._step)
+
+
 def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                   resume: ResumeState | None = None, on_row=None,
-                  on_checkpoint=None,
-                  checkpoint_every_rows: int | None = None,
-                  checkpoint_every_seconds: float | None = None
-                  ) -> PeriodResult:
+                  cadence: Cadence | None = None) -> PeriodResult:
     """Minimal (preperiod, period) of the order-``n`` construction.
 
     ``max_rows`` bounds the rows generated by the detection cursor
@@ -525,13 +604,11 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     :class:`BudgetExhaustedError` carrying a :class:`ResumeState`.
     ``on_row(k, ones)`` is invoked for every detection-cursor row.
 
-    ``on_checkpoint(resume)`` receives a :class:`ResumeState` (its own
-    copy of the generator) between rows, once ``checkpoint_every_rows``
-    rows or ``checkpoint_every_seconds`` seconds have passed since the
-    last one or since the call began, whichever comes first; detection
-    then goes on with the same detector.  No checkpoint is offered at the
-    row where the budget runs out, as the error carries that state.  So
-    a run's detector is rebuilt from a snapshot only when it resumes.
+    ``cadence`` is checked between rows.  Its save hook gets a
+    :class:`ResumeState` (its own copy of the generator), and detection
+    goes on with the same detector; so a run rebuilds a detector from a
+    snapshot only when it resumes.  No save falls at the budget row,
+    whose state the error carries.
 
     The result is exact: row-shift identities are checked bit-for-bit
     over p + sigma consecutive rows, p is minimal among all divisors,
@@ -545,14 +622,8 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
         raise InvalidParameterError(f"max_rows must be >= 1, got {max_rows}")
     if window < 4:
         raise InvalidParameterError(f"window must be >= 4, got {window}")
-    if checkpoint_every_rows is not None and checkpoint_every_rows < 1:
-        raise InvalidParameterError(
-            f"checkpoint_every_rows must be >= 1, got {checkpoint_every_rows}")
-    if checkpoint_every_seconds is not None and \
-            not checkpoint_every_seconds > 0:
-        raise InvalidParameterError(
-            f"checkpoint_every_seconds must be > 0, got "
-            f"{checkpoint_every_seconds}")
+    if cadence is None:
+        cadence = Cadence()
     candidate = None  # (k0, p) in verification; the ring is pinned at k0
     if resume is None:
         gen = new_generator(n)
@@ -587,12 +658,7 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
             ring.pin = candidate[0]
         else:
             candidate = None
-    every_rows = max_rows if checkpoint_every_rows is None \
-        else checkpoint_every_rows
-    every_s = float("inf") if checkpoint_every_seconds is None \
-        else checkpoint_every_seconds
-    saved = gen.rows_emitted  # rows at the last checkpoint, or at the start
-    save_at = monotonic() + every_s
+    cadence.start(gen.rows_emitted)
     while True:
         rows = gen.rows_emitted
         if rows >= max_rows:
@@ -601,11 +667,9 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
                 resume=ResumeState(generator=gen,
                                    detector=det.snapshot(candidate)),
                 rows_examined=rows)
-        if on_checkpoint is not None and rows != saved and (
-                rows - saved >= every_rows or monotonic() >= save_at):
-            on_checkpoint(ResumeState(gen.clone(), det.snapshot(candidate)))
-            saved = rows
-            save_at = monotonic() + every_s
+        if rows >= cadence.next_row:
+            cadence.check(rows, lambda: ResumeState(
+                gen.clone(), det.snapshot(candidate)))
         k, ones = gen._advance()
         if on_row is not None:
             on_row(k, ones)

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: outputs, exit codes, resume."""
 import dataclasses
+import itertools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import rectfree
 from rectfree import (GeneratorState, IncidenceMatrix,
                       InvariantViolationError, generate_prefix,
                       load_checkpoint, save_checkpoint)
-from rectfree import cli
+from rectfree import cli, period
 from rectfree.period import _Detector
 from rectfree.cli import (
     EXIT_BUDGET,
@@ -189,6 +191,15 @@ class TestPeriod:
         assert main(["period", "-n", "3", "--progress-every", "0"]) == EXIT_OK
         assert capsys.readouterr().out == PERIOD3_REPORT
 
+    def test_progress_lines_go_to_stderr(self, capsys):
+        assert main(["period", "-n", "3", "--progress-every", "0"]) == EXIT_OK
+        quiet = capsys.readouterr()
+        assert main(["period", "-n", "3", "--progress-every", "1e-9"]) \
+            == EXIT_OK
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out == PERIOD3_REPORT
+        assert "period n=3: " in loud.err and "rows/s" not in quiet.err
+
     def test_budget_exhaustion_without_checkpoint(self, capsys):
         code = main(["period", "-n", "6", "--max-rows", "2000",
                      "--progress-every", "0"])
@@ -295,11 +306,17 @@ class TestPeriod:
             rings.append(weakref.ref(cp.detector.ring))
             return cp
 
-        def probe(interval, label):
-            return lambda k, ones: alive.append(rings[0]() is not None)
+        detect = cli.detect_period
+
+        def probing(n, max_rows, *, window, resume, cadence):
+            # Pass the resume state on as cli does, holding no name on it.
+            resume = [resume]
+            return detect(n, max_rows, window=window, resume=resume.pop(),
+                          cadence=cadence, on_row=lambda k, ones:
+                          alive.append(rings[0]() is not None))
 
         monkeypatch.setattr(cli, "load_checkpoint", loading)
-        monkeypatch.setattr(cli, "_progress_on_row", probe)
+        monkeypatch.setattr(cli, "detect_period", probing)
         assert main(base + ["--max-rows", "45"]) == EXIT_BUDGET
         assert len(rings) == 1
         assert alive == [False] * 5
@@ -514,12 +531,15 @@ class TestOneWriter:
 CADENCE_REFUSALS = [("--checkpoint-every-rows", "0"),
                     ("--checkpoint-every-rows", "-3"),
                     ("--checkpoint-every-seconds", "0"),
-                    ("--checkpoint-every-seconds", "nan")]
+                    ("--checkpoint-every-seconds", "nan"),
+                    ("--progress-every", "-1"),
+                    ("--progress-every", "nan")]
 
 
 class TestCadenceFlags:
-    """A checkpoint cadence that never advances is refused before any
-    checkpoint is read, and the file is left byte-for-byte untouched."""
+    """A checkpoint cadence that never advances, or a negative or nan
+    progress interval, is refused before any checkpoint is read, and the
+    file is left byte-for-byte untouched."""
 
     @staticmethod
     def command(kind, tmp_path, rows):
@@ -553,6 +573,63 @@ class TestCadenceFlags:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "w.ckpt").exists()
         assert not (tmp_path / "w.rows").exists()
+
+
+class TestProgress:
+    """Progress lines come from the cadence checks, not from a per-row
+    callback, and report the rate of the rows this run generated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "-n", "3", "--out", "a.rows", "--rows"],
+        ["period", "-n", "6", "--max-rows"]])
+    def test_resumed_rate_counts_only_this_runs_rows(
+            self, tmp_path, capsys, monkeypatch, argv):
+        argv = [str(tmp_path / a) if a.endswith(".rows") else a
+                for a in argv]
+        ckpt = ["--checkpoint", str(tmp_path / "a.ckpt")]
+        assert main(argv + ["2000", "--progress-every", "0"] + ckpt) \
+            in (EXIT_OK, EXIT_BUDGET)
+        capsys.readouterr()
+        ticks = itertools.count()  # each clock read is one second later
+        monkeypatch.setattr(period, "monotonic", lambda: float(next(ticks)))
+        assert main(argv + ["2010", "--progress-every", "1e-9"] + ckpt) \
+            in (EXIT_OK, EXIT_BUDGET)
+        lines = re.findall(r"n=\d+: (\d+) rows, (\d+) rows/s",
+                           capsys.readouterr().err)
+        # One line per row (period checks none at its budget row).
+        rows = [int(rows) for rows, _ in lines]
+        assert rows == list(range(2001, 2001 + len(rows))) and len(rows) >= 9
+        # Ten rows over at least one second each: at most 10 rows/s, not
+        # the 2001 or more that dividing the row index would give.
+        assert all(int(rate) <= 10 for _, rate in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "-n", "3", "--rows", "200"],
+        ["period", "-n", "6", "--max-rows", "200"]])
+    def test_a_row_cadence_without_checkpoint_checks_nothing(
+            self, capsys, monkeypatch, argv):
+        # With no checkpoint to save and no progress to print, nothing
+        # falls due: the loop reads the clock at its start and its first
+        # check, not on each row past the row cadence.
+        reads = []
+        monkeypatch.setattr(period, "monotonic",
+                            lambda: reads.append(1) or 0.0)
+        assert main(argv + ["--checkpoint-every-rows", "10",
+                            "--progress-every", "0"]) in (EXIT_OK,
+                                                          EXIT_BUDGET)
+        assert len(reads) <= 2
+
+    @pytest.mark.parametrize("argv", [["period", "-n", "3"],
+                                      ["fold", "-n", "3"]])
+    def test_default_heartbeat_passes_no_row_callback(self, capsys,
+                                                      monkeypatch, argv):
+        calls = []
+        detect = cli.detect_period
+        monkeypatch.setattr(cli, "detect_period", lambda *a, **kw:
+                            calls.append(kw) or detect(*a, **kw))
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1 and "on_row" not in calls[0]
+        assert calls[0]["cadence"].interval == 10
 
 
 class TestFold:

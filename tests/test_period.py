@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from _table_oracle import DictTable, packed_entries
-from rectfree import (BudgetExhaustedError, InvalidParameterError,
+from rectfree import (BudgetExhaustedError, Cadence, InvalidParameterError,
                       PeriodResult, defining_matrix, detect_period,
                       minimal_fold_multiplier, new_generator)
 from rectfree import period
@@ -149,8 +149,8 @@ class TestInLoopCheckpoints:
     def test_checkpoints_follow_the_row_cadence_and_resume(self):
         states = []
         with pytest.raises(BudgetExhaustedError) as info:
-            detect_period(3, 100, window=16, on_checkpoint=states.append,
-                          checkpoint_every_rows=30)
+            detect_period(3, 100, window=16, cadence=Cadence(
+                checkpoint_every_rows=30, save=states.append))
         assert [s.generator.rows_emitted for s in states] == [30, 60, 90]
         # Each state owns its generator, and each resumes like the
         # state at the end of a budget-limited run.
@@ -165,9 +165,8 @@ class TestInLoopCheckpoints:
 
     def test_checkpointed_run_finds_the_same_period(self):
         states = []
-        result = detect_period(3, 1000, window=16,
-                               on_checkpoint=states.append,
-                               checkpoint_every_rows=7)
+        result = detect_period(3, 1000, window=16, cadence=Cadence(
+            checkpoint_every_rows=7, save=states.append))
         assert result == detect_period(3, 1000, window=16)
         # Row 140 confirms the period before its checkpoint falls due.
         assert [s.generator.rows_emitted for s in states] == \
@@ -179,8 +178,7 @@ class TestInLoopCheckpoints:
         {"checkpoint_every_seconds": float("nan")}])
     def test_cadence_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
-            detect_period(3, 100, on_checkpoint=lambda state: None,
-                          **kwargs)
+            Cadence(save=lambda state: None, **kwargs)
 
 
 class TestWindow:
