@@ -123,7 +123,6 @@ class Checkpoint:
     col_weights: tuple[tuple[int, int], ...]
     row_hash: bytes          # 32-byte chain over all emitted log lines
     log_offset: int          # row-log bytes covered by row_hash
-    detector_tag: str
     detector: DetectorSnapshot | None
     format_version: int = FORMAT_VERSION
 
@@ -148,8 +147,6 @@ class Checkpoint:
             col_weights=tuple(sorted(state.col_weight.items())),
             row_hash=bytes(row_hash),
             log_offset=log_offset,
-            detector_tag=(DETECTOR_NONE if detector is None
-                          else DETECTOR_WINDOWED),
             detector=detector,
         )
 
@@ -221,7 +218,8 @@ def _encode(cp: Checkpoint) -> list[list]:
     for c, w in cp.col_weights:
         weights.append(_Q.pack(c))
         weights.append(_I.pack(w))
-    tag = [cp.detector_tag.encode("utf-8")]
+    tag = [(DETECTOR_NONE if cp.detector is None
+            else DETECTOR_WINDOWED).encode("utf-8")]
     det: list = []
     if cp.detector is not None:
         snap = cp.detector
@@ -357,8 +355,8 @@ def _decode(records: list[memoryview], version: int) -> Checkpoint:
     return Checkpoint(n=n, next_k=next_k, frontier_l=frontier_l,
                       rows_emitted=rows_emitted, live_rows=live,
                       col_weights=weights, row_hash=row_hash,
-                      log_offset=log_offset, detector_tag=tag,
-                      detector=detector, format_version=version)
+                      log_offset=log_offset, detector=detector,
+                      format_version=version)
 
 
 # -- file I/O ----------------------------------------------------------------
@@ -504,7 +502,7 @@ class RowLog:
         try:
             _lock(self._fh.fileno(), f"row log {self.path}")
             if offset:
-                actual, _rows = _scan_log(self._fh, offset)
+                actual = _scan_log(self._fh, offset)
                 if actual != row_hash:
                     raise CorruptCheckpointError(
                         f"row log {self.path} does not reproduce the "
@@ -539,13 +537,12 @@ class RowLog:
         self.close()
 
 
-def _scan_log(fh, upto: int) -> tuple[bytes, int]:
-    """Chain-hash the first ``upto`` bytes; returns (digest, line count)."""
+def _scan_log(fh, upto: int) -> bytes:
+    """The chain hash of the first ``upto`` bytes."""
     sha256 = _hasher()
     fh.seek(0)
     digest = EMPTY_ROW_HASH
     consumed = 0
-    rows = 0
     for line in fh:
         if consumed == upto:
             break
@@ -554,29 +551,22 @@ def _scan_log(fh, upto: int) -> tuple[bytes, int]:
             raise CorruptCheckpointError(
                 f"row-log offset {upto} does not fall on a line boundary")
         digest = sha256(digest + line).digest()
-        rows += 1
     if consumed < upto:
         raise CorruptCheckpointError(
             f"row log holds {consumed} bytes, checkpoint expects {upto}")
-    return digest, rows
+    return digest
 
 
 def log_prefix_hash(path, offset: int) -> bytes:
     """Recompute the chain hash of a row log's first ``offset`` bytes."""
     with open(os.fspath(path), "rb") as fh:
-        digest, _rows = _scan_log(fh, offset)
-    return digest
+        return _scan_log(fh, offset)
 
 
-def iter_row_log(path, *, upto_offset: int | None = None):
+def iter_row_log(path):
     """Yield :class:`SparseRow` values from a row log, in file order."""
-    consumed = 0
     with open(os.fspath(path), "rb") as fh:
         for raw in fh:
-            if upto_offset is not None:
-                consumed += len(raw)
-                if consumed > upto_offset:
-                    return
             if not raw.endswith(b"\n"):
                 return  # torn final line: not vouched for by anyone
             try:

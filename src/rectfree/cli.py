@@ -113,13 +113,20 @@ def _checkpoint_path(explicit: str | None, kind: str, n: int) -> str | None:
     return None
 
 
-def _load_for(path: str | None, n: int) -> Checkpoint | None:
+def _load_for(path: str | None, n: int, kind: str) -> Checkpoint | None:
+    """The checkpoint at ``path``, if there is one, refused unless it is
+    a ``kind`` ("gen" or "period") checkpoint of order ``n``."""
     if path is None or not os.path.exists(path):
         return None
     cp = load_checkpoint(path)
     if cp.n != n:
         raise InvalidParameterError(
             f"checkpoint {path} is for order {cp.n}, not {n}")
+    saved_by = "gen" if cp.detector is None else "period"
+    if saved_by != kind:
+        raise InvalidParameterError(
+            f"checkpoint {path} was saved by {saved_by}; it cannot seed "
+            f"{kind}")
     return cp
 
 
@@ -175,6 +182,11 @@ def cmd_gen(args) -> int:
             f"--rows must be a positive total, got {args.rows}")
     cadence = _cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "gen", args.n)
+    if args.out and ckpt_path and \
+            os.path.realpath(args.out) == os.path.realpath(ckpt_path):
+        raise InvalidParameterError(
+            f"--out {args.out} is the checkpoint file; the row log needs "
+            f"a path of its own")
     with _writer_lock(ckpt_path):
         gen = _gen_rows(args, ckpt_path, cadence)
     report = [f"rows: {gen.rows_emitted}"]
@@ -191,14 +203,10 @@ def cmd_gen(args) -> int:
 def _gen_rows(args, ckpt_path: str | None, cadence: Cadence):
     """Emit rows up to ``args.rows`` in all, saving on the cadence and at
     the end; returns the generator."""
-    cp = _load_for(ckpt_path, args.n)
+    cp = _load_for(ckpt_path, args.n, "gen")
     if cp is None:
         gen = new_generator(args.n)
         offset, row_hash = 0, EMPTY_ROW_HASH
-    elif cp.detector is not None:
-        raise InvalidParameterError(
-            f"checkpoint {ckpt_path} holds period-detector state; it cannot "
-            f"seed row generation")
     else:
         gen = cp.restore_generator()
         offset, row_hash = cp.log_offset, cp.row_hash
@@ -272,7 +280,7 @@ def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
     budget runs out go there before :class:`BudgetExhaustedError`
     propagates."""
     with _writer_lock(ckpt_path):
-        cp = _load_for(ckpt_path, args.n)
+        cp = _load_for(ckpt_path, args.n, "period")
         # The restored cursor, popped into the detect_period call below so
         # that no name here holds the loaded ring while the restored
         # detector holds its copy (CPython 3.11 and later hand call
@@ -280,10 +288,6 @@ def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
         resume = []
         window = DEFAULT_WINDOW if args.window is None else args.window
         if cp is not None:
-            if cp.detector is None:
-                raise InvalidParameterError(
-                    f"checkpoint {ckpt_path} has no detector state; it "
-                    f"cannot seed period detection")
             # A resumed detector keeps the window it was saved with.
             if args.window is not None and args.window != cp.detector.window:
                 raise InvalidParameterError(
@@ -346,11 +350,20 @@ def cmd_fold(args) -> int:
 
 # -- verify ------------------------------------------------------------------
 
+def _read_matrix(path: str):
+    """The matrix in file ``path``; a file that is not ASCII is refused."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise InvalidParameterError(
+                f"matrix file {path} is not ASCII text") from None
+    return parse_matrix_text(text)
+
+
 def cmd_verify(args) -> int:
     _load("matrix", "verify")
-    with open(args.matrix, "r", encoding="ascii") as fh:
-        mat = parse_matrix_text(fh.read())
-    outcome = verify_configuration(mat, args.n)
+    outcome = verify_configuration(_read_matrix(args.matrix), args.n)
     if not isinstance(outcome, Configuration):
         print(f"violation of axiom ({outcome.axiom}): {outcome.message}")
         print(f"witness: {outcome.witness}")
@@ -384,9 +397,7 @@ def cmd_verify(args) -> int:
 
 def cmd_galfs(args) -> int:
     _load("matrix", "generator")
-    with open(args.matrix, "r", encoding="ascii") as fh:
-        mat = parse_matrix_text(fh.read())
-    cells = sorted(compute_galfs(mat.to_dense()))
+    cells = sorted(compute_galfs(_read_matrix(args.matrix).to_dense()))
     text = "".join(f"{i},{j}\n" for i, j in cells)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -161,15 +161,7 @@ def fold(n: int, period: PeriodResult, fold_params: FoldParams, *,
         out_rows.append(tuple(wrapped))
 
     matrix = IncidenceMatrix(p_bar, p_bar, tuple(out_rows))
-    _verify_matrix(matrix, n, what=f"fold (m={fold_params.m}, v={v})")
-    rect = find_rectangle(matrix.rows)
-    if rect is not None:
-        message = (f"wrapped matrix has a rectangle: rows {rect[0]},{rect[1]} "
-                   f"columns {rect[2]},{rect[3]}")
-        if guaranteed:
-            raise InvariantViolationError(message)
-        raise ConstraintViolationError(
-            f"{message} (m={fold_params.m} is below the proven threshold)")
+    _verify_matrix(matrix, n, f"fold (m={fold_params.m}, v={v})", guaranteed)
     return matrix
 
 
@@ -198,17 +190,15 @@ def compact_plane(n: int, period: PeriodResult) -> IncidenceMatrix:
                 f"row {k} has a one at column {ones[-1]} > p = {p}; "
                 f"the offsets cannot be a zero-preperiod prefix")
     matrix = IncidenceMatrix(p, p, rows)
-    _verify_matrix(matrix, n, what="compact form")
-    rect = find_rectangle(matrix.rows)
-    if rect is not None:
-        raise InvariantViolationError(
-            f"compact form has a rectangle: rows {rect[0]},{rect[1]} "
-            f"columns {rect[2]},{rect[3]}")
+    _verify_matrix(matrix, n, "compact form", True)
     return matrix
 
 
-def _verify_matrix(matrix: IncidenceMatrix, n: int, what: str) -> None:
-    """Exhaustive weight and symmetry checks shared by both builders."""
+def _verify_matrix(matrix: IncidenceMatrix, n: int, what: str,
+                   proven: bool) -> None:
+    """Exhaustive weight, symmetry and rectangle checks shared by both
+    builders.  A rectangle is a bug when rectangle-freeness was
+    ``proven`` in advance, and otherwise a refused fold."""
     k = n + 1
     for i, ones in enumerate(matrix.rows, 1):
         if len(ones) != k:
@@ -220,6 +210,14 @@ def _verify_matrix(matrix: IncidenceMatrix, n: int, what: str) -> None:
                 f"{what}: column {j} has weight {w}, expected {k}")
     if not matrix.is_symmetric:
         raise InvariantViolationError(f"{what}: matrix is not symmetric")
+    rect = find_rectangle(matrix.rows)
+    if rect is not None:
+        message = (f"{what} has a rectangle: rows {rect[0]},{rect[1]} "
+                   f"columns {rect[2]},{rect[3]}")
+        if proven:
+            raise InvariantViolationError(message)
+        raise ConstraintViolationError(
+            f"{message} (m is below the proven threshold)")
 
 
 def regenerate_rows(n: int, first: int, last: int) -> list[SparseRow]:

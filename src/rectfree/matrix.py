@@ -82,9 +82,6 @@ class IncidenceMatrix:
                 f"matrix is {self.n_rows}x{self.n_cols}, not square")
         return self.n_rows
 
-    def count_ones(self) -> int:
-        return sum(len(ones) for ones in self.rows)
-
     def column_weights(self) -> list[int]:
         """Weight of every column, index 0 holding column 1."""
         w = [0] * self.n_cols
@@ -92,14 +89,6 @@ class IncidenceMatrix:
             for j in ones:
                 w[j - 1] += 1
         return w
-
-    def transpose(self) -> "IncidenceMatrix":
-        cols: list[list[int]] = [[] for _ in range(self.n_cols)]
-        for i, ones in enumerate(self.rows, 1):
-            for j in ones:
-                cols[j - 1].append(i)
-        return IncidenceMatrix(self.n_cols, self.n_rows,
-                               tuple(tuple(c) for c in cols))
 
     @property
     def is_symmetric(self) -> bool:
@@ -190,9 +179,9 @@ class IncidenceMatrix:
                     f"line {lineno}: bad or duplicate row index {idx}")
             entries[idx] = ones
         n_rows = max(entries, default=0)
-        missing = [i for i in range(1, n_rows + 1) if i not in entries]
-        if missing:
-            raise InvalidParameterError(f"missing row {missing[0]}")
+        if len(entries) != n_rows:  # so a row up to len + 1 is missing
+            missing = next(i for i in range(1, n_rows + 1) if i not in entries)
+            raise InvalidParameterError(f"missing row {missing}")
         rows = tuple(entries[i] for i in range(1, n_rows + 1))
         if n_cols is None:
             n_cols = max((ones[-1] for ones in rows if ones), default=0)

@@ -419,9 +419,7 @@ def _refine(adj: list[tuple[int, ...]], colors: list[int],
     round, so the result depends only on the colored graph, never on
     hashing or platform.
     """
-    by_color: dict[int, list[int]] = {}
-    for u, col in enumerate(colors):
-        by_color.setdefault(col, []).append(u)
+    by_color = _cells_of(colors)
     # Inside the rounds a cell's id is where it starts in the vertices
     # listed by color: a split renames only its own parts, and ids keep
     # the order the ranks would give.

@@ -32,7 +32,7 @@ from rectfree import (
     save_checkpoint,
 )
 from rectfree.checkpoint import _enc_packed, _hasher, row_line
-from rectfree.cli import main
+from rectfree.cli import EXIT_IO, main
 from rectfree.generator import format_row_line
 from rectfree.period import _Detector
 
@@ -70,8 +70,9 @@ def period_checkpoint(tmp_path, n, rows, window):
     return path
 
 
-def rewrite_records(path, edit):
-    """Apply ``edit`` to a checkpoint's record list; recompute the checksum."""
+def rewrite_records(path, edit, tail=b""):
+    """Apply ``edit`` to a checkpoint's record list and put ``tail`` after
+    the last record; recompute the checksum."""
     data = path.read_bytes()
     records, pos = [], 8
     while pos < len(data) - 8:
@@ -80,8 +81,57 @@ def rewrite_records(path, edit):
         pos += 8 + length
     edit(records)
     body = data[:8] + b"".join(struct.pack("<Q", len(r)) + bytes(r)
-                               for r in records)
+                               for r in records) + tail
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+
+def _set_u64(record, pos, value):
+    struct.pack_into("<Q", record, pos, value)
+
+
+def _bump_u32(record, pos):
+    (value,) = struct.unpack_from("<I", record, pos)
+    struct.pack_into("<I", record, pos, value + 1)
+
+
+def _replace(record, payload):
+    record[:] = payload
+
+
+def _candidate_flag_at(detector) -> int:
+    """Where the candidate flag sits in a format-2 detector payload: after
+    window, first ring row, row count and two packed blocks."""
+    (ring_size,) = struct.unpack_from("<Q", detector, 32)
+    (lags_size,) = struct.unpack_from("<Q", detector, 48 + ring_size)
+    return 56 + ring_size + lags_size
+
+
+# Damage the checksum cannot see: (checkpoint kind, edit of the record
+# list, bytes after the last record, message).  Records: 0 core integers,
+# 1 row hash, 2 live rows, 3 column weights, 4 detector tag, 5 detector.
+DAMAGE = [
+    ("gen", lambda r: r.pop(), b"", "expected 6 records, found 5"),
+    ("gen", lambda r: _set_u64(r[0], 0, 0), b"", "order 0 is out of range"),
+    ("gen", lambda r: r[1].pop(), b"", "row hash record must be 32 bytes"),
+    ("gen", lambda r: _replace(r[4], b"\xff"), b"",
+     "detector tag is not UTF-8"),
+    ("gen", lambda r: r[5].extend(bytes(8)), b"",
+     "detector payload present without a detector tag"),
+    ("period", lambda r: _replace(r[4], b"bogus"), b"",
+     "unknown detector tag 'bogus'"),
+    ("period", lambda r: _set_u64(r[5], _candidate_flag_at(r[5]), 2), b"",
+     "candidate flag must be 0 or 1, got 2"),
+    ("period", lambda r: _set_u64(r[5], 24, 3), b"",
+     "packed element width 3 is not 1, 2, 4 or 8"),
+    ("gen", lambda r: r[0].append(0), b"", "1 stray bytes in a record"),
+    ("gen", lambda r: None, b"\x01\x02\x03", "record length field truncated"),
+    ("gen", lambda r: None, struct.pack("<Q", 100) + b"abc",
+     "record payload truncated"),
+    ("gen", lambda r: _set_u64(r[2], 8, 1 << 40), b"",
+     "checkpoint state is not reachable"),
+    ("gen", lambda r: _bump_u32(r[3], 16), b"",
+     "stored column weights disagree with the live rows"),
+]
 
 
 @pytest.fixture()
@@ -467,6 +517,41 @@ class TestCorruptionDefense:
         rewrite_records(path, drop_a_row)
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind, edit, tail, match", DAMAGE,
+                             ids=[case[3] for case in DAMAGE])
+    def test_damage_under_a_valid_checksum(self, saved, tmp_path, capsys,
+                                           kind, edit, tail, match):
+        if kind == "gen":
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(saved[1].read_bytes())
+            argv = ["gen", "-n", "3", "--rows", "800", "--out",
+                    str(tmp_path / "more.rows")]
+        else:
+            path = period_checkpoint(tmp_path, 3, 130, 16)
+            argv = ["period", "-n", "3", "--window", "16"]
+        rewrite_records(path, edit, tail)
+        with pytest.raises(CorruptCheckpointError, match=match):
+            load_checkpoint(str(path)).restore_generator()
+        assert main(argv + ["--checkpoint", str(path),
+                            "--progress-every", "0"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert match in err
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("lags", None, "without lags"),
+        ("ring", array("b", [0]), "must hold 4 offsets"),
+    ])
+    def test_encode_refuses_a_malformed_snapshot(self, tmp_path, field,
+                                                 value, match):
+        good = load_checkpoint(str(period_checkpoint(tmp_path, 3, 130, 16)))
+        bad = dataclasses.replace(good, detector=dataclasses.replace(
+            good.detector, **{field: value}))
+        target = tmp_path / "never.ckpt"
+        with pytest.raises(InvalidParameterError, match=match):
+            save_checkpoint(bad, str(target))
+        assert not target.exists()
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

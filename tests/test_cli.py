@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from array import array
 from importlib import import_module
@@ -15,7 +16,7 @@ from importlib import import_module
 import pytest
 
 import rectfree
-from rectfree import (GeneratorState, IncidenceMatrix,
+from rectfree import (GeneratorState, IncidenceMatrix, InvalidParameterError,
                       InvariantViolationError, generate_prefix,
                       load_checkpoint, save_checkpoint)
 from rectfree import cli, period
@@ -180,6 +181,29 @@ class TestGen:
         expected = tmp_path / "gen-n2.ckpt"
         assert expected.exists()
         assert f"checkpoint: {expected}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("existing_log", [True, False])
+    @pytest.mark.parametrize("checkpoint", ["same path", "relative path",
+                                            "env var"])
+    def test_out_that_is_its_own_checkpoint_is_refused(
+            self, tmp_path, capsys, monkeypatch, checkpoint, existing_log):
+        monkeypatch.chdir(tmp_path)
+        log = tmp_path / "gen-n2.ckpt"
+        base = ["gen", "-n", "2", "--out", str(log), "--progress-every", "0"]
+        if existing_log:
+            assert main(base + ["--rows", "5"]) == EXIT_OK
+        if checkpoint == "env var":
+            monkeypatch.setenv("RECTFREE_CHECKPOINT_DIR", str(tmp_path))
+        else:
+            base += ["--checkpoint", str(log) if checkpoint == "same path"
+                     else "gen-n2.ckpt"]
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(base + ["--rows", "8"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert sorted((p.name, p.read_bytes())
+                      for p in tmp_path.iterdir()) == before
 
 
 class TestPeriod:
@@ -798,6 +822,46 @@ class TestVerify:
         path = fano_file(tmp_path)
         assert main(["verify", str(path), "-n", "2", "--iso", "6"]) \
             == EXIT_USAGE
+
+
+# Malformed matrix files: (bytes, message).
+BAD_MATRICES = {
+    "bad header": (b"P1\n3\n", "not a plain portable bitmap"),
+    "bad P1 dimensions": (b"P1\nx 3\n000\n", "bad P1 dimensions"),
+    "short P1 body": (b"P1\n3 3\n110\n101\n", "exactly 9 0/1 digits"),
+    "bad row index": (b"a\t1,2\n", "bad row index 'a'"),
+    "bad column list": (b"1\t1,x\n", "bad column list '1,x'"),
+    "duplicate row": (b"1\t1,2\n1\t2,3\n", "duplicate row index 1"),
+    "missing row": (b"1\t1,2\n3\t2,3\n", "missing row 2"),
+    "columns not ascending": (b"1\t2,1\n", "strictly ascending"),
+    "column 0": (b"1\t0,1\n", "a column outside 1..1"),
+    "non-ASCII": (b"P1\n1 1\n\xff\n", "bad.txt is not ASCII text"),
+}
+
+
+@pytest.mark.parametrize("command", [["verify", "-n", "2"], ["galfs"]],
+                         ids=["verify", "galfs"])
+@pytest.mark.parametrize("case", list(BAD_MATRICES))
+def test_malformed_matrix_is_a_usage_error(tmp_path, capsys, command, case):
+    data, message = BAD_MATRICES[case]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert main(command + [str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
+def test_a_large_row_index_costs_no_memory():
+    # Listing the rows missing below row 2 000 000 took about 80 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="missing row 1$"):
+            IncidenceMatrix.from_sparse_text("2000000\t1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 class TestGalfs:

@@ -228,6 +228,20 @@ class TestFoldTamperDetection:
         with pytest.raises(InvariantViolationError, match="weight"):
             fold(1, bad, params)
 
+    @pytest.mark.parametrize("build", [
+        lambda period: fold(1, period, FoldParams(m=1, p_bar=4, r=2, v=4)),
+        lambda period: compact_plane(1, period),
+    ], ids=["fold", "compact"])
+    def test_rectangle_in_a_proven_matrix_is_a_bug(self, build):
+        # The rows of test_below_bound_wrap_with_rectangle_reported under
+        # a false l_max = 2, which makes p_bar = 4 >= 2*l_max provably safe.
+        period = with_offsets(
+            PeriodResult(n=1, pp=0, p=4, b_breadth=1, l_max=2,
+                         case1=False, rows_examined=0),
+            [(0, 1), (-1, 0), (0, 1), (-1, 0)])
+        with pytest.raises(InvariantViolationError, match="has a rectangle"):
+            build(period)
+
 
 class TestCompactPlane:
     def test_order1_three_by_three(self, period1):

@@ -11,7 +11,8 @@ from rectfree import (BudgetExhaustedError, Cadence, InvalidParameterError,
                       minimal_fold_multiplier, new_generator)
 from rectfree import period
 from rectfree.period import (DEFAULT_WINDOW, ResumeState, _Detector,
-                             _minimize_pp, _pp_from_ring, _Ring, _Table)
+                             _minimize_p, _minimize_pp, _pp_from_ring, _Ring,
+                             _Table)
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
@@ -229,6 +230,19 @@ def _encodings(n: int, rows: int) -> list[tuple[int, ...]]:
         k, ones = gen._advance()
         encs.append(tuple(j - k for j in ones))
     return encs
+
+
+class TestMinimizeP:
+    @pytest.mark.parametrize("n, k0, candidates, p", [
+        (3, 55, (16, 32, 48), 16),  # pp = 48: rows from 49 on repeat
+        (1, 1, (3, 6, 9), 3),
+    ])
+    def test_a_multiple_shrinks_to_the_period(self, n, k0, candidates, p):
+        ring = _Ring(10 ** 6, n + 1)
+        for enc in _encodings(n, 200)[1:]:
+            ring.append(list(enc), 0)
+        for cand in candidates:
+            assert _minimize_p(ring, k0, cand) == p, cand
 
 
 class TestPreperiodFromRing:
