@@ -182,8 +182,10 @@ def cmd_gen(args) -> int:
             f"--rows must be a positive total, got {args.rows}")
     cadence = _cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "gen", args.n)
-    if args.out and ckpt_path and \
-            os.path.realpath(args.out) == os.path.realpath(ckpt_path):
+    if args.out and ckpt_path and (
+            os.path.realpath(args.out) == os.path.realpath(ckpt_path)
+            or os.path.exists(args.out) and os.path.exists(ckpt_path)
+            and os.path.samefile(args.out, ckpt_path)):
         raise InvalidParameterError(
             f"--out {args.out} is the checkpoint file; the row log needs "
             f"a path of its own")

@@ -205,6 +205,20 @@ class TestGen:
         assert sorted((p.name, p.read_bytes())
                       for p in tmp_path.iterdir()) == before
 
+    def test_checkpoint_hard_linked_to_out_is_refused(self, tmp_path, capsys):
+        # Another name for the same file: realpath differs, samefile does not.
+        log, link = tmp_path / "g.rows", tmp_path / "g.ckpt"
+        base = ["gen", "-n", "2", "--out", str(log), "--progress-every", "0"]
+        assert main(base + ["--rows", "5"]) == EXIT_OK
+        os.link(log, link)
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(base + ["--rows", "8", "--checkpoint", str(link)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert log.read_bytes() == before
+
 
 class TestPeriod:
     def test_order2_report(self, capsys):
