@@ -57,7 +57,7 @@ from functools import cache
 
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
-from .generator import GeneratorState, MAX_ORDER, parse_row_line
+from .generator import GeneratorState, MAX_ORDER, parse_row_line, row_line
 from .period import TYPECODES, DetectorSnapshot, ResumeState
 
 MAGIC = b"RFCKPT"
@@ -77,9 +77,6 @@ _I = struct.Struct("<I")   # unsigned 32-bit
 _HDR = struct.Struct("<6sH")
 
 
-_ROW_FORMATS: dict[int, bytes] = {}  # ones per row -> b"%d\t%d,...,%d\n"
-
-
 @cache
 def _hasher():
     """The package's one SHA-256 constructor: CPython's built-in
@@ -96,18 +93,12 @@ def _hasher():
     return sha256
 
 
-def row_line(index: int, ones) -> bytes:
-    """The :func:`~rectfree.generator.format_row_line` text of a row and
-    its newline, as ASCII bytes: the row log's line."""
-    fmt = _ROW_FORMATS.get(len(ones))
-    if fmt is None:
-        fmt = _ROW_FORMATS[len(ones)] = \
-            b"%d\t" + b",".join([b"%d"] * len(ones)) + b"\n"
-    return fmt % (index, *ones)
-
-
 def chain_row_hash(digest: bytes, index: int, ones) -> bytes:
-    """Absorb one emitted row into the running row-log chain hash."""
+    """Absorb one emitted row into the running row-log chain hash.
+
+    No CLI path calls it: :meth:`RowLog.append` chains its own lines.  It
+    stays as the oracle of the chain while format-2 row logs can still be
+    resumed."""
     return _hasher()(digest + row_line(index, ones)).digest()
 
 
@@ -491,12 +482,25 @@ class RowLog:
     against the expected chain value.  The log holds an exclusive lock
     until it is closed: opening a log that another process is writing
     raises :class:`InvalidParameterError` and leaves the file as it is.
+
+    With ``path=None`` the lines go to ``sys.stdout.buffer``, continuing
+    the chain at ``(offset, row_hash)``: nothing is locked, scanned or
+    truncated, syncing and closing only flush, and the byte stream is the
+    log.
     """
 
     def __init__(self, path, *, offset: int = 0,
                  row_hash: bytes = EMPTY_ROW_HASH):
         if offset and len(row_hash) != 32:
             raise InvalidParameterError("row_hash must be a 32-byte digest")
+        self.offset = offset
+        self.row_hash = bytes(row_hash) if offset else EMPTY_ROW_HASH
+        self._sha256 = _hasher()
+        if path is None:
+            self.path = None
+            sys.stdout.flush()  # text written before the first row
+            self._fh = sys.stdout.buffer
+            return
         self.path = os.fspath(path)
         self._fh = open(self.path, "a+b")
         try:
@@ -512,9 +516,6 @@ class RowLog:
         except BaseException:
             self._fh.close()
             raise
-        self.offset = offset
-        self.row_hash = bytes(row_hash) if offset else EMPTY_ROW_HASH
-        self._sha256 = _hasher()
 
     def append(self, index: int, ones) -> None:
         line = row_line(index, ones)
@@ -523,12 +524,17 @@ class RowLog:
         self.offset += len(line)
 
     def sync(self) -> None:
-        """Flush buffers and fsync, making the log durable."""
+        """Flush buffers and fsync, making the log durable (a pipe
+        cannot be fsynced, so standard output is only flushed)."""
         self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if self.path is not None:
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        self._fh.close()
+        if self.path is None:
+            self._fh.flush()
+        else:
+            self._fh.close()
 
     def __enter__(self) -> "RowLog":
         return self

@@ -29,9 +29,13 @@ error (a failed invariant: a bug in rectfree, not a finding).
 
 Everything written to standard output is deterministic for a fixed
 command line and input files; progress and timing lines go to standard
-error only.  Progress lines and in-loop checkpoints come at the checks
-of one :class:`~rectfree.period.Cadence` per run, and a progress line
-reports the rate of the rows this process generated.  The environment
+error only.  A payload (rows, matrix, listing, DOT graph) goes out as
+ASCII bytes, to its file or to ``sys.stdout.buffer``, whatever the
+encoding of standard output; so an in-process caller that redirects
+standard output needs a stream with a ``.buffer``.  Progress lines and
+in-loop checkpoints come at the checks of one
+:class:`~rectfree.period.Cadence` per run, and a progress line reports
+the rate of the rows this process generated.  The environment
 variable ``RECTFREE_CHECKPOINT_DIR`` names a directory used for
 checkpoint files when ``--checkpoint`` is not given; without either,
 runs do not checkpoint.
@@ -56,7 +60,7 @@ from .errors import (BudgetExhaustedError, CheckpointError,
 _IMPORTS = {
     "checkpoint": ("Checkpoint", "EMPTY_ROW_HASH", "RowLog",
                    "chain_row_hash", "exclusive_lock", "load_checkpoint",
-                   "row_line", "save_checkpoint"),
+                   "save_checkpoint"),
     # regenerate_rows stays only because perfbench/traced_cli.py wraps it.
     "folding": ("FoldParams", "compact_plane", "fold", "regenerate_rows"),
     "generator": ("compute_galfs", "new_generator"),
@@ -151,29 +155,19 @@ def _cadence(args) -> Cadence:
         label=f"{args.command} n={args.n}")
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write a payload as ASCII bytes to the file ``out``, or to standard
+    output's binary buffer, after any text already printed there."""
+    data = text.encode("ascii")
+    if out:
+        with open(out, "wb") as fh:
+            fh.write(data)
+    else:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+
+
 # -- gen ---------------------------------------------------------------------
-
-class _StdoutSink:
-    """Row sink for terminal runs: the byte stream doubles as the log."""
-
-    def __init__(self, offset: int, row_hash: bytes):
-        from .checkpoint import _hasher
-        self._sha256 = _hasher()
-        self.offset = offset
-        self.row_hash = row_hash
-
-    def append(self, index: int, ones) -> None:
-        line = row_line(index, ones)
-        sys.stdout.write(line.decode("ascii"))
-        self.row_hash = self._sha256(self.row_hash + line).digest()
-        self.offset += len(line)
-
-    def sync(self) -> None:
-        sys.stdout.flush()
-
-    def close(self) -> None:
-        sys.stdout.flush()
-
 
 def cmd_gen(args) -> int:
     _load("checkpoint", "generator", "period")
@@ -182,13 +176,17 @@ def cmd_gen(args) -> int:
             f"--rows must be a positive total, got {args.rows}")
     cadence = _cadence(args)
     ckpt_path = _checkpoint_path(args.checkpoint, "gen", args.n)
-    if args.out and ckpt_path and (
-            os.path.realpath(args.out) == os.path.realpath(ckpt_path)
-            or os.path.exists(args.out) and os.path.exists(ckpt_path)
-            and os.path.samefile(args.out, ckpt_path)):
-        raise InvalidParameterError(
-            f"--out {args.out} is the checkpoint file; the row log needs "
-            f"a path of its own")
+    if args.out and ckpt_path:
+        for path, what in (
+                (ckpt_path, "the checkpoint file"),
+                (ckpt_path + ".lock",
+                 f"the lock sidecar of checkpoint {ckpt_path}")):
+            if os.path.realpath(args.out) == os.path.realpath(path) or (
+                    os.path.exists(args.out) and os.path.exists(path)
+                    and os.path.samefile(args.out, path)):
+                raise InvalidParameterError(
+                    f"--out {args.out} is {what}; the row log needs a "
+                    f"path of its own")
     with _writer_lock(ckpt_path):
         gen = _gen_rows(args, ckpt_path, cadence)
     report = [f"rows: {gen.rows_emitted}"]
@@ -212,10 +210,7 @@ def _gen_rows(args, ckpt_path: str | None, cadence: Cadence):
     else:
         gen = cp.restore_generator()
         offset, row_hash = cp.log_offset, cp.row_hash
-    if args.out:
-        sink = RowLog(args.out, offset=offset, row_hash=row_hash)
-    else:
-        sink = _StdoutSink(offset, row_hash)
+    sink = RowLog(args.out, offset=offset, row_hash=row_hash)
 
     def save() -> None:
         sink.sync()
@@ -318,15 +313,6 @@ def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
 
 # -- fold --------------------------------------------------------------------
 
-def _emit_matrix(mat, fmt: str, out: str | None) -> None:
-    text = mat.to_p1() if fmt == "p1" else mat.to_sparse_text()
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_fold(args) -> int:
     _load("period", "folding")
     result = _detect(args, _cadence(args))
@@ -341,7 +327,8 @@ def cmd_fold(args) -> int:
         summary = (f"n={args.n} fold: {mat.n_rows} x {mat.n_cols}, "
                    f"pp={result.pp} p={result.p} m={params.m} "
                    f"p_bar={params.p_bar} v={params.v}")
-    _emit_matrix(mat, args.format, args.out)
+    _emit(mat.to_p1() if args.format == "p1" else mat.to_sparse_text(),
+          args.out)
     if args.out:
         print(summary)
         print(f"matrix: {args.out}")
@@ -389,8 +376,7 @@ def cmd_verify(args) -> int:
         if not verdict:
             code = EXIT_VIOLATION
     if args.levi:
-        with open(args.levi, "w", encoding="ascii") as fh:
-            fh.write(levi_dot(c))
+        _emit(levi_dot(c), args.levi)
         print(f"levi graph: {args.levi}")
     return code
 
@@ -400,14 +386,10 @@ def cmd_verify(args) -> int:
 def cmd_galfs(args) -> int:
     _load("matrix", "generator")
     cells = sorted(compute_galfs(_read_matrix(args.matrix).to_dense()))
-    text = "".join(f"{i},{j}\n" for i, j in cells)
+    _emit("".join(f"{i},{j}\n" for i, j in cells), args.out)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
         print(f"galf cells: {len(cells)}")
         print(f"listing: {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

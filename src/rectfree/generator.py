@@ -75,9 +75,22 @@ class SparseRow:
         return self.ones[-1] - self.ones[0] + 1
 
 
+_ROW_FORMATS: dict[int, bytes] = {}  # ones per row -> b"%d\t%d,...,%d\n"
+
+
+def row_line(index: int, ones) -> bytes:
+    """The row-log line of a row, ``k<TAB>j1,j2,...`` and its newline,
+    as ASCII bytes; a row without ones is ``k<TAB>``."""
+    fmt = _ROW_FORMATS.get(len(ones))
+    if fmt is None:
+        fmt = _ROW_FORMATS[len(ones)] = \
+            b"%d\t" + b",".join([b"%d"] * len(ones)) + b"\n"
+    return fmt % (index, *ones)
+
+
 def format_row_line(index: int, ones: tuple[int, ...]) -> str:
     """Row-log text form: ``k<TAB>j1,j2,...`` (ascending columns)."""
-    return f"{index}\t{','.join(map(str, ones))}"
+    return row_line(index, ones)[:-1].decode("ascii")
 
 
 def parse_row_line(line: str) -> SparseRow:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, SizeLimitError
-from .generator import format_row_line
+from .generator import row_line
 
 #: Densifying a matrix with more cells than this is refused.
 MAX_DENSE_CELLS = 25_000_000
@@ -149,11 +149,8 @@ class IncidenceMatrix:
     # -- sparse text ---------------------------------------------------
 
     def to_sparse_text(self) -> str:
-        out = []
-        for i, ones in enumerate(self.rows, 1):
-            out.append(format_row_line(i, ones) if ones else f"{i}\t")
-            out.append("\n")
-        return "".join(out)
+        return b"".join([row_line(i, ones) for i, ones
+                         in enumerate(self.rows, 1)]).decode("ascii")
 
     @classmethod
     def from_sparse_text(cls, text: str, n_cols: int | None = None

@@ -18,7 +18,7 @@ import pytest
 import rectfree
 from rectfree import (GeneratorState, IncidenceMatrix, InvalidParameterError,
                       InvariantViolationError, generate_prefix,
-                      load_checkpoint, save_checkpoint)
+                      load_checkpoint, log_prefix_hash, save_checkpoint)
 from rectfree import cli, period
 from rectfree.period import _Detector
 from rectfree.cli import (
@@ -184,15 +184,18 @@ class TestGen:
 
     @pytest.mark.parametrize("existing_log", [True, False])
     @pytest.mark.parametrize("checkpoint", ["same path", "relative path",
-                                            "env var"])
+                                            "env var", "lock sidecar",
+                                            "env var lock sidecar"])
     def test_out_that_is_its_own_checkpoint_is_refused(
             self, tmp_path, capsys, monkeypatch, checkpoint, existing_log):
+        # The checkpoint is gen-n2.ckpt; --out names it or its lock file.
         monkeypatch.chdir(tmp_path)
-        log = tmp_path / "gen-n2.ckpt"
+        sidecar = checkpoint.endswith("lock sidecar")
+        log = tmp_path / ("gen-n2.ckpt.lock" if sidecar else "gen-n2.ckpt")
         base = ["gen", "-n", "2", "--out", str(log), "--progress-every", "0"]
         if existing_log:
             assert main(base + ["--rows", "5"]) == EXIT_OK
-        if checkpoint == "env var":
+        if checkpoint.startswith("env var"):
             monkeypatch.setenv("RECTFREE_CHECKPOINT_DIR", str(tmp_path))
         else:
             base += ["--checkpoint", str(log) if checkpoint == "same path"
@@ -202,6 +205,7 @@ class TestGen:
         assert main(base + ["--rows", "8"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert ("lock sidecar" in err) == sidecar
         assert sorted((p.name, p.read_bytes())
                       for p in tmp_path.iterdir()) == before
 
@@ -976,6 +980,56 @@ class TestTracedHarness:
             assert [s["name"] for s in record["spans"]] == ["main"] + spans
 
 
+class TestPayloadBytes:
+    """A payload on standard output is the ASCII bytes its ``--out`` file
+    holds, whatever the encoding of standard output."""
+
+    @staticmethod
+    def run(tmp_path, argv, stdout=None, mode="wb", encoding="utf-16"):
+        """Run ``rectfree argv`` in ``tmp_path`` with standard output
+        opened on the file ``stdout`` in ``mode``; returns its bytes."""
+        env = child_env()
+        env.pop("PYTHONIOENCODING", None)
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        with open(tmp_path / (stdout or os.devnull), mode) as fh:
+            done = subprocess.run(
+                [sys.executable, "-m", "rectfree"] + argv, stdout=fh,
+                stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+                cwd=tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+        return (tmp_path / stdout).read_bytes() if stdout else None
+
+    @pytest.mark.parametrize("case", ["gen", "fold then verify", "galfs",
+                                      "gen resumed with >>"])
+    def test_stdout_payload_is_the_file_payload(self, tmp_path, case):
+        gen = ["gen", "-n", "2", "--progress-every", "0"]
+        if case == "gen":
+            out = self.run(tmp_path, gen + ["--rows", "3", "--checkpoint",
+                                            "c.ckpt"], "out")
+            cp = load_checkpoint(str(tmp_path / "c.ckpt"))
+            assert log_prefix_hash(tmp_path / "out", cp.log_offset) == \
+                cp.row_hash
+            self.run(tmp_path, gen + ["--rows", "3", "--out", "ref"])
+        elif case == "fold then verify":
+            out = self.run(tmp_path, ["fold", "-n", "2"], "f2.txt")
+            self.run(tmp_path, ["verify", "f2.txt", "-n", "2"])
+            self.run(tmp_path, ["fold", "-n", "2", "--out", "ref"])
+        elif case == "galfs":
+            fano_file(tmp_path)
+            out = self.run(tmp_path, ["galfs", "fano.rows"], "cells")
+            assert out
+            self.run(tmp_path, ["galfs", "fano.rows", "--out", "ref"])
+        else:  # a real file descriptor, which capsys never writes to
+            for rows in ("3", "7"):
+                out = self.run(tmp_path, gen + ["--rows", rows,
+                                                "--checkpoint", "c.ckpt"],
+                               "out", mode="ab", encoding=None)
+            self.run(tmp_path, gen + ["--rows", "7", "--out", "ref"],
+                     encoding=None)
+        assert out == (tmp_path / "ref").read_bytes()
+
+
 def loaded_modules(tmp_path, code):
     """``rectfree`` modules and ``_hashlib``/``argparse`` presence in a
     fresh process after it runs ``code``."""
@@ -1026,7 +1080,8 @@ class TestImportFootprint:
         fano_file(tmp_path)
         code = ("import contextlib, io\n"
                 "from rectfree.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "with contextlib.redirect_stdout(\n"
+                "        io.TextIOWrapper(io.BytesIO())):\n"
                 f"    assert main({argv.split()!r}) == 0\n")
         assert loaded_modules(tmp_path, code) == {
             "rectfree", "rectfree.cli", "rectfree.errors", "argparse"} | {

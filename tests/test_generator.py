@@ -1,10 +1,11 @@
 """Generator: goldens, oracle agreement, invariants, galfs, parsing."""
 import pytest
 
-from rectfree import (GeneratorState, InvalidParameterError, MAX_ORDER,
-                      Params, SparseRow, compute_galfs, format_row_line,
-                      generate_naive, generate_prefix, is_admissible,
-                      length_bound, new_generator, next_row, parse_row_line)
+from rectfree import (GeneratorState, IncidenceMatrix, InvalidParameterError,
+                      MAX_ORDER, Params, SparseRow, compute_galfs,
+                      format_row_line, generate_naive, generate_prefix,
+                      is_admissible, length_bound, new_generator, next_row,
+                      parse_matrix_text, parse_row_line)
 
 from _dense import dense_rows, find_rectangle_oracle, galfs_oracle
 from _kernel_oracle import naive_oracle, new_oracle
@@ -179,6 +180,16 @@ class TestRowLineFormat:
         for row in generate_prefix(3, 50):
             back = parse_row_line(format_row_line(row.index, row.ones))
             assert back == SparseRow(row.index, row.ones)
+
+    @pytest.mark.parametrize("rows, text", [
+        ([(1, 2), (), (1, 3)], "1\t1,2\n2\t\n3\t1,3\n"),
+        ([(2,), ()], "1\t2\n2\t\n"),
+        ([()], "1\t\n")])
+    def test_sparse_text_writes_an_empty_row_as_index_and_tab(self, rows,
+                                                               text):
+        matrix = IncidenceMatrix.from_rows(rows)
+        assert matrix.to_sparse_text() == text
+        assert parse_matrix_text(text) == matrix
 
     @pytest.mark.parametrize("bad", ["", "1", "1 2,3", "0\t1,2", "2\t2,1",
                                      "2\t", "x\t1,2", "2\t1,x"])
