@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "checkpoint": (
         "Checkpoint", "EMPTY_ROW_HASH", "RowLog", "chain_row_hash",
-        "iter_row_log", "load_checkpoint", "log_prefix_hash",
-        "save_checkpoint"),
+        "exclusive_lock", "iter_row_log", "load_checkpoint",
+        "log_prefix_hash", "save_checkpoint"),
     "errors": (
         "BudgetExhaustedError", "CheckpointError", "ConstraintViolationError",
         "CorruptCheckpointError", "InvalidParameterError",
@@ -36,8 +36,8 @@ _EXPORTS = {
         "parse_row_line"),
     "matrix": ("IncidenceMatrix", "parse_matrix_text"),
     "period": (
-        "Cadence", "DefiningMatrix", "DetectorSnapshot", "PeriodResult",
-        "ResumeState", "defining_matrix", "detect_period",
+        "Cadence", "DEFAULT_WINDOW", "DefiningMatrix", "DetectorSnapshot",
+        "PeriodResult", "ResumeState", "defining_matrix", "detect_period",
         "minimal_fold_multiplier"),
     "verify": (
         "Configuration", "ConfigurationViolation", "automorphism_count",

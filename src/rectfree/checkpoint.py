@@ -26,7 +26,7 @@ width (the smallest of 1, 2, 4 or 8 bytes that holds every value), its
 byte length, and the elements.  The fingerprint table is not stored:
 loading rebuilds it from the ring.  Version 1 stored every offset in 8
 bytes and the table instead of the lags; it still loads, with an empty
-table, and is never written.
+ring and table and no candidate in flight, and is never written.
 
 Writes go to a temporary file in the destination directory which is
 fsynced and atomically renamed over the target, so a crash at any
@@ -58,7 +58,7 @@ from functools import cache
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
 from .generator import GeneratorState, MAX_ORDER, parse_row_line, row_line
-from .period import TYPECODES, DetectorSnapshot, ResumeState
+from .period import TYPECODES, DetectorSnapshot, ResumeState, narrowest
 
 MAGIC = b"RFCKPT"
 FORMAT_VERSION = 2
@@ -173,27 +173,19 @@ def _enc_offsets(offsets) -> bytes:
     return _I.pack(len(offsets)) + b"".join(_SQ.pack(o) for o in offsets)
 
 def _enc_packed(values: array) -> tuple[bytes, memoryview]:
-    """Width and byte length, then the elements as a byte view, of the
-    narrowest signed packing.
-
-    ``values`` may be wider than its elements need (a ring widens for a
-    value that has since been trimmed); it is then repacked narrower,
-    and otherwise viewed without a copy."""
-    for width in (1, 2, 4, 8):
-        code = TYPECODES[width]
-        if values.typecode == code:
-            packed = values
-        else:
-            try:
-                packed = array(code, values)
-            except OverflowError:
-                continue
-        if sys.byteorder == "big":
-            packed = array(code, packed)  # never swap the caller's array
-            packed.byteswap()
-        view = memoryview(packed).cast("B")
-        return _Q.pack(width) + _Q.pack(len(view)), view
-    raise InvalidParameterError("a detector value does not fit in 8 bytes")
+    """Width and byte length, then the elements as a byte view, of
+    :func:`~rectfree.period.narrowest` ``values``: a view of ``values``
+    itself when it is packed that narrow already."""
+    try:
+        packed = narrowest(values)
+    except OverflowError:
+        raise InvalidParameterError(
+            "a detector value does not fit in 8 bytes") from None
+    if sys.byteorder == "big":
+        packed = array(packed.typecode, packed)  # swap a copy, not values
+        packed.byteswap()
+    view = memoryview(packed).cast("B")
+    return _Q.pack(packed.itemsize) + _Q.pack(len(view)), view
 
 
 def _encode(cp: Checkpoint) -> list[list]:
@@ -216,8 +208,7 @@ def _encode(cp: Checkpoint) -> list[list]:
         snap = cp.detector
         if snap.lags is None:
             raise InvalidParameterError(
-                "a detector snapshot without lags (format 1) cannot be "
-                "written")
+                "a detector snapshot without lags cannot be written")
         if len(snap.ring) != len(snap.lags) * (cp.n + 1):
             raise InvalidParameterError(
                 f"every ring row must hold {cp.n + 1} offsets")
@@ -320,12 +311,13 @@ def _decode(records: list[memoryview], version: int) -> Checkpoint:
         d_r = _Reader(records[5])
         window, ring_first, ring_len = d_r.u64(), d_r.u64(), d_r.u64()
         if version == 1:
-            ring = array("q")
-            for _ in range(ring_len):
-                ring.extend(d_r.offsets())
-            for _ in range(d_r.u64()):  # the table, rebuilt instead
+            # Rows without lags cannot be replayed: the detector resumes
+            # with an empty ring and table, and no candidate in flight.
+            for _ in range(ring_len):  # each row's 8-byte offsets
+                d_r.take(8 * d_r.u32())
+            for _ in range(d_r.u64()):  # the table
                 d_r.take(40)
-            lags = None
+            ring_first, ring, lags = next_k, array("b"), array("b")
         else:
             ring = d_r.packed(ring_len * (n + 1))
             lags = d_r.packed(ring_len)
@@ -338,9 +330,9 @@ def _decode(records: list[memoryview], version: int) -> Checkpoint:
             raise CorruptCheckpointError(
                 f"detector candidate flag must be 0 or 1, got {cand_flag}")
         d_r.done()
-        detector = DetectorSnapshot(window=window, ring_first=ring_first,
-                                    ring=ring, lags=lags,
-                                    candidate=candidate)
+        detector = DetectorSnapshot(
+            window=window, ring_first=ring_first, ring=ring, lags=lags,
+            candidate=None if version == 1 else candidate)
     else:
         raise CorruptCheckpointError(f"unknown detector tag {tag!r}")
     return Checkpoint(n=n, next_k=next_k, frontier_l=frontier_l,

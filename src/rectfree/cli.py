@@ -48,40 +48,26 @@ import sys
 from contextlib import nullcontext
 from importlib import import_module
 
+from . import _EXPORTS, _HOME
 from .errors import (BudgetExhaustedError, CheckpointError,
                      ConstraintViolationError, InvalidParameterError,
                      InvariantViolationError, SizeLimitError)
 
-# Home module of every name the commands call.  A command binds the names
-# of the modules it runs when it starts (``_load``), and reading one as an
-# attribute of this module binds its module's names first, so that tools
-# may patch or wrap them here before any command runs.  Commands call
-# them through this module's namespace.
-_IMPORTS = {
-    "checkpoint": ("Checkpoint", "EMPTY_ROW_HASH", "RowLog",
-                   "chain_row_hash", "exclusive_lock", "load_checkpoint",
-                   "save_checkpoint"),
-    # regenerate_rows stays only because perfbench/traced_cli.py wraps it.
-    "folding": ("FoldParams", "compact_plane", "fold", "regenerate_rows"),
-    "generator": ("compute_galfs", "new_generator"),
-    "matrix": ("parse_matrix_text",),
-    "period": ("Cadence", "DEFAULT_WINDOW", "detect_period",
-               "minimal_fold_multiplier"),
-    "verify": ("Configuration", "automorphism_count", "is_projective_plane",
-               "isomorphic", "levi_dot", "reference_plane",
-               "verify_configuration"),
-}
-_HOME = {name: module for module, names in _IMPORTS.items()
-         for name in names}
+# Commands call the package's names (``_EXPORTS``) through this module's
+# namespace.  A command binds the names of the modules it runs when it
+# starts (``_load``), and reading one as an attribute of this module binds
+# its module's names first, so that tools may patch or wrap them here
+# before any command runs.
 
 
 def _load(*modules: str) -> None:
-    """Import ``modules`` and bind each of their names that this module
-    does not hold yet; a name already bound (patched, say) is kept."""
+    """Import ``modules`` and bind each of their package names that this
+    module does not hold yet; a name already bound (patched, say) is
+    kept."""
     namespace = globals()
     for module in modules:
         home = import_module(f".{module}", __package__)
-        for name in _IMPORTS[module]:
+        for name in _EXPORTS[module]:
             if name not in namespace:
                 namespace[name] = getattr(home, name)
 

@@ -48,9 +48,7 @@ class IncidenceMatrix:
     def from_rows(cls, rows, n_cols: int | None = None) -> "IncidenceMatrix":
         """Build from an iterable of one-column lists (1-based)."""
         tup = tuple(tuple(int(j) for j in ones) for ones in rows)
-        if n_cols is None:
-            n_cols = max((ones[-1] for ones in tup if ones), default=0)
-        return cls(len(tup), n_cols, tup)
+        return cls(len(tup), _width(tup) if n_cols is None else n_cols, tup)
 
     @classmethod
     def from_dense(cls, bits) -> "IncidenceMatrix":
@@ -156,7 +154,10 @@ class IncidenceMatrix:
     def from_sparse_text(cls, text: str, n_cols: int | None = None
                          ) -> "IncidenceMatrix":
         entries: dict[int, tuple[int, ...]] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
+        # A line ends only at a line break, as in the row log; str
+        # .splitlines() would also end one at a form feed, say.
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             head, _, tail = line.partition("\t")
@@ -180,9 +181,13 @@ class IncidenceMatrix:
             missing = next(i for i in range(1, n_rows + 1) if i not in entries)
             raise InvalidParameterError(f"missing row {missing}")
         rows = tuple(entries[i] for i in range(1, n_rows + 1))
-        if n_cols is None:
-            n_cols = max((ones[-1] for ones in rows if ones), default=0)
-        return cls(n_rows, n_cols, rows)
+        return cls(n_rows, _width(rows) if n_cols is None else n_cols, rows)
+
+
+def _width(rows) -> int:
+    """The width rows need: their last one-column, and at least 0 (so a
+    column below 1 is refused as outside the matrix)."""
+    return max([0, *(ones[-1] for ones in rows if ones)])
 
 
 def parse_matrix_text(text: str) -> IncidenceMatrix:

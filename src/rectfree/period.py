@@ -149,10 +149,7 @@ class DetectorSnapshot:
     reaches back ``window + sigma + 1`` rows so that every state inside
     the table's horizon gets its full live window.  At n = 6 a ring row
     takes 8 bytes here and on disk, and the detector rebuilt from it
-    about 41 bytes per window row in memory.  ``lags`` is None for
-    a snapshot read from a format-1 checkpoint, which stored the table
-    instead; such a snapshot resumes with an empty table, which can only
-    delay detection.
+    about 41 bytes per window row in memory.
 
     :func:`detect_period` takes snapshots from its live detector, both
     for in-loop checkpoints and when the budget runs out, and goes on
@@ -172,7 +169,7 @@ class DetectorSnapshot:
     window: int
     ring_first: int
     ring: array
-    lags: array | None
+    lags: array
     candidate: tuple[int, int] | None = None  # (k0, p) mid-verification
 
 
@@ -188,17 +185,20 @@ class ResumeState:
 TYPECODES = {array(code).itemsize: code for code in "qlihb"}
 
 
-def _widened(values: array, more: list[int]) -> array:
-    """``values`` followed by ``more`` in the narrowest wider array that
-    holds them all."""
-    for width in (2, 4, 8):
-        if width > values.itemsize:
-            wide = array(TYPECODES[width], values)
-            try:
-                wide.fromlist(more)
-            except OverflowError:
-                continue
-            return wide
+def narrowest(values: array, more=()) -> array:
+    """``values`` followed by ``more`` in the narrowest signed array of
+    width 1, 2, 4 or 8 that holds them all: ``values`` itself when
+    ``more`` is empty and ``values`` has that width already."""
+    for width in (1, 2, 4, 8):
+        code = TYPECODES[width]
+        if not more and values.typecode == code:
+            return values
+        try:
+            packed = array(code, values)
+            packed.extend(more)
+        except OverflowError:
+            continue
+        return packed
     raise OverflowError("a detector value does not fit in 8 bytes")
 
 
@@ -219,20 +219,20 @@ class _Ring:
         self.maxlen = maxlen
         self.width = width
         self.first = first  # row index of the first row held
-        self.offs = array("b") if offs is None else offs
-        self.lags = array("b") if lags is None else lags
+        self.offs = offs or array("b")
+        self.lags = lags or array("b")
         self.pin: int | None = None
 
     def append(self, offs: list[int], lag: int) -> None:
         try:
             self.offs.fromlist(offs)  # all or nothing
         except OverflowError:
-            self.offs = _widened(self.offs, offs)
+            self.offs = narrowest(self.offs, offs)
         lags = self.lags
         try:
             lags.append(lag)
         except OverflowError:
-            self.lags = lags = _widened(lags, [lag])
+            self.lags = lags = narrowest(lags, [lag])
         if len(lags) > self.maxlen + (self.maxlen >> 1):
             cut = len(lags) - self.maxlen
             if self.pin is not None:
@@ -434,12 +434,7 @@ class _Detector:
             raise CorruptCheckpointError(
                 f"detector window {snap.window} is below 4")
         det = cls(snap.window, gen.params)
-        end = gen.next_k
-        lo = end  # first replayed row
-        if snap.lags is None:
-            det.ring.first = end
-        else:
-            lo = det._replay(snap, end)
+        lo = det._replay(snap, gen.next_k)
         # The replayed window must be the generator's, from row lo on.
         if list(det.deq) != [(ones[-1], hash(tuple([j - i for j in ones]))
                               % _MOD) for i, ones in gen._live if i >= lo]:
@@ -653,11 +648,8 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
 
     if candidate is not None:
         # Continue an interrupted verification; its rows k0 .. last row
-        # are in the ring (not in a format-1 ring, which is dropped).
-        if ring.covers(candidate[0]):
-            ring.pin = candidate[0]
-        else:
-            candidate = None
+        # are in the ring, or the restore above refused the snapshot.
+        ring.pin = candidate[0]
     cadence.start(gen.rows_emitted)
     while True:
         rows = gen.rows_emitted

@@ -434,12 +434,15 @@ class TestDetectorCheckpoint:
 
     def test_version1_file_resumes(self, tmp_path):
         # Written by format version 1 (order 3, window 16, 100 rows, a
-        # verification in flight).  It holds no lags, so it resumes with
-        # an empty table, which can only delay detection.
+        # verification in flight).  It holds no lags, so it decodes to an
+        # empty ring and table and no candidate in flight, which can only
+        # delay detection.
         loaded = load_checkpoint(str(FIXTURES / "period-n3-w16-v1.ckpt"))
         assert loaded.format_version == 1
-        assert loaded.detector.lags is None
-        assert loaded.detector.candidate == (55, 16)
+        snap = loaded.detector
+        assert (snap.window, snap.ring_first) == (16, loaded.next_k)
+        assert len(snap.ring) == len(snap.lags) == 0
+        assert snap.candidate is None
         result = detect_period(3, 1000, window=16,
                                resume=loaded.restore_resume())
         assert (result.pp, result.p, result.rows_examined) == (48, 16, 187)
@@ -453,6 +456,17 @@ class TestDetectorCheckpoint:
             3, 1000, window=16,
             resume=load_checkpoint(str(path)).restore_resume())
         assert (result.pp, result.p) == (48, 16)
+
+    def test_version1_file_saves_as_version2(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(
+            load_checkpoint(str(FIXTURES / "period-n3-w16-v1.ckpt")),
+            str(path))
+        loaded = load_checkpoint(str(path))
+        assert loaded.format_version == 2
+        result = detect_period(3, 1000, window=16,
+                               resume=loaded.restore_resume())
+        assert (result.pp, result.p, result.rows_examined) == (48, 16, 187)
 
     def test_restore_resume_needs_detector(self, saved):
         checkpoint, _, _ = saved

@@ -12,6 +12,7 @@ import tracemalloc
 import weakref
 from array import array
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +312,17 @@ class TestPeriod:
                 is not None
         assert capsys.readouterr().out == whole
         assert in_flight >= 3
+
+    def test_version1_checkpoint_resumes(self, tmp_path, capsys):
+        # Format 1 resumes with an empty ring, so the verification that was
+        # in flight starts again and confirms later than at row 140.
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes((Path(__file__).parent / "fixtures"
+                          / "period-n3-w16-v1.ckpt").read_bytes())
+        assert main(["period", "-n", "3", "--checkpoint", str(ckpt),
+                     "--progress-every", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == PERIOD3_REPORT.replace(
+            "rows examined: 140", "rows examined: 187")
 
     def test_restore_runs_only_when_resuming(self, tmp_path, capsys,
                                              monkeypatch):
@@ -853,6 +865,10 @@ BAD_MATRICES = {
     "missing row": (b"1\t1,2\n3\t2,3\n", "missing row 2"),
     "columns not ascending": (b"1\t2,1\n", "strictly ascending"),
     "column 0": (b"1\t0,1\n", "a column outside 1..1"),
+    "only a column below 1": (b"1\t-3\n", "row 1 has a column outside 1..0"),
+    # A form feed is no line break, as in the row log.
+    "form feed": (IncidenceMatrix.from_rows(FANO).to_sparse_text().replace(
+        "\n7\t", "\f7\t").encode("ascii"), "line 6: bad column list"),
     "non-ASCII": (b"P1\n1 1\n\xff\n", "bad.txt is not ASCII text"),
 }
 
@@ -868,6 +884,25 @@ def test_malformed_matrix_is_a_usage_error(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err and "Traceback" not in err
+
+
+def test_a_column_below_1_is_outside_the_matrix():
+    with pytest.raises(InvalidParameterError,
+                       match=r"^row 1 has a column outside 1\.\.0$"):
+        IncidenceMatrix.from_rows([(-3,)])
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_cr_line_breaks_read_as_newlines(tmp_path, capsys,
+                                                   newline):
+    text = IncidenceMatrix.from_rows(FANO).to_sparse_text()
+    path = tmp_path / "fano.rows"
+    path.write_bytes(text.replace("\n", newline).encode("ascii"))
+    assert main(["verify", str(path), "-n", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "configuration 7_3\nprojective plane of order 2\n")
+    assert rectfree.parse_matrix_text(text.replace("\n", newline)) == \
+        IncidenceMatrix.from_rows(FANO)
 
 
 def test_a_large_row_index_costs_no_memory():
@@ -1090,6 +1125,15 @@ class TestImportFootprint:
         if "--checkpoint" in words:  # so the run has hashed a checkpoint
             path = tmp_path / words[words.index("--checkpoint") + 1]
             assert load_checkpoint(str(path)).n == 2
+
+    def test_cli_resolves_exactly_the_package_names(self, tmp_path):
+        code = ("import rectfree, rectfree.cli as cli\n"
+                "for name in rectfree.__all__:\n"
+                "    assert getattr(cli, name) is getattr(rectfree, name), "
+                "name\n"
+                "for name in ('row_line', 'TYPECODES', 'checkpoint'):\n"
+                "    assert not hasattr(cli, name), name\n")
+        assert "rectfree.cli" in loaded_modules(tmp_path, code)
 
     def test_star_import_binds_every_name_from_its_home(self):
         namespace: dict = {}
