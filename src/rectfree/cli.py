@@ -212,14 +212,12 @@ def _gen_rows(args, ckpt_path: str | None, cadence: Cadence):
     first = gen.rows_emitted
     cadence.start(first)
     try:
-        for _ in range(args.rows - first):
+        for rows in range(first, args.rows):
+            if rows >= cadence.next_row:
+                cadence.check(rows)
             row = next_row()
             append(row.index, row.ones)
-            if row.index >= cadence.next_row:
-                cadence.check(row.index)
-        # The last row is saved unless a check of this run just saved it.
-        if cadence.saved == first or cadence.saved != gen.rows_emitted:
-            save()
+        save()
     finally:
         sink.close()
     return gen
@@ -256,6 +254,12 @@ def cmd_period(args) -> int:
     return EXIT_OK
 
 
+def _resume_state(ckpt_path: str | None, n: int):
+    """The resume state of the checkpoint at ``ckpt_path``, if any."""
+    cp = _load_for(ckpt_path, n, "period")
+    return None if cp is None else cp.restore_resume()
+
+
 def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
     """Detect the period of order ``args.n`` under ``cadence``.  A
     checkpoint path is locked for the run; the checkpoint there, if any,
@@ -263,23 +267,6 @@ def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
     budget runs out go there before :class:`BudgetExhaustedError`
     propagates."""
     with _writer_lock(ckpt_path):
-        cp = _load_for(ckpt_path, args.n, "period")
-        # The restored cursor, popped into the detect_period call below so
-        # that no name here holds the loaded ring while the restored
-        # detector holds its copy (CPython 3.11 and later hand call
-        # arguments over to the callee's frame).
-        resume = []
-        window = DEFAULT_WINDOW if args.window is None else args.window
-        if cp is not None:
-            # A resumed detector keeps the window it was saved with.
-            if args.window is not None and args.window != cp.detector.window:
-                raise InvalidParameterError(
-                    f"--window {args.window} differs from the window "
-                    f"{cp.detector.window} of checkpoint {ckpt_path}")
-            window = cp.detector.window
-            resume.append(cp.restore_resume())
-            cp = None
-
         def save(state) -> None:
             save_checkpoint(Checkpoint.capture(
                 state.generator, row_hash=EMPTY_ROW_HASH, log_offset=0,
@@ -288,8 +275,11 @@ def _detect(args, cadence: Cadence, ckpt_path: str | None = None):
         if ckpt_path:
             cadence.save = save
         try:
-            return detect_period(args.n, args.max_rows, window=window,
-                                 resume=resume.pop() if resume else None,
+            # The resume state goes straight into the call, so no name
+            # here holds the loaded ring beside the restored detector's
+            # copy (CPython 3.11+ hands call arguments to the callee).
+            return detect_period(args.n, args.max_rows, window=args.window,
+                                 resume=_resume_state(ckpt_path, args.n),
                                  cadence=cadence)
         except BudgetExhaustedError as exc:
             if ckpt_path:

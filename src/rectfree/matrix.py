@@ -126,7 +126,7 @@ class IncidenceMatrix:
 
     @classmethod
     def from_p1(cls, text: str) -> "IncidenceMatrix":
-        body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        body = "\n".join(line.split("#", 1)[0] for line in _lines(text))
         tokens = body.split(None, 3)
         if len(tokens) < 3 or tokens[0] != "P1":
             raise InvalidParameterError("not a plain portable bitmap (P1)")
@@ -154,10 +154,7 @@ class IncidenceMatrix:
     def from_sparse_text(cls, text: str, n_cols: int | None = None
                          ) -> "IncidenceMatrix":
         entries: dict[int, tuple[int, ...]] = {}
-        # A line ends only at a line break, as in the row log; str
-        # .splitlines() would also end one at a form feed, say.
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        for lineno, line in enumerate(lines, 1):
+        for lineno, line in enumerate(_lines(text), 1):
             if not line.strip():
                 continue
             head, _, tail = line.partition("\t")
@@ -182,6 +179,12 @@ class IncidenceMatrix:
             raise InvalidParameterError(f"missing row {missing}")
         rows = tuple(entries[i] for i in range(1, n_rows + 1))
         return cls(n_rows, _width(rows) if n_cols is None else n_cols, rows)
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r`` only, as the row
+    log is; str.splitlines() also splits at a form feed, say."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _width(rows) -> int:

@@ -514,7 +514,7 @@ class Cadence:
     """When a long row loop saves its state and prints progress.
 
     The loop calls :meth:`start` with its row count, then :meth:`check`
-    after each row that reaches ``next_row``: one integer compare per
+    before a row once its row count reaches ``next_row``: one compare per
     row.  Only a check reads the clock.  It calls the ``save`` hook once
     ``checkpoint_every_rows`` rows or ``checkpoint_every_seconds``
     seconds (None: never) have passed since the last save or the start,
@@ -589,7 +589,7 @@ class Cadence:
             self.next_row = min(self.next_row, rows + self._step)
 
 
-def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
+def detect_period(n: int, max_rows: int, *, window: int | None = None,
                   resume: ResumeState | None = None, on_row=None,
                   cadence: Cadence | None = None) -> PeriodResult:
     """Minimal (preperiod, period) of the order-``n`` construction.
@@ -598,6 +598,9 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     (resumed runs continue the count); exceeding it raises
     :class:`BudgetExhaustedError` carrying a :class:`ResumeState`.
     ``on_row(k, ones)`` is invoked for every detection-cursor row.
+
+    ``window`` is a fresh run's recurrence window (None: the default);
+    a resumed run keeps its snapshot's window and refuses another one.
 
     ``cadence`` is checked between rows.  Its save hook gets a
     :class:`ResumeState` (its own copy of the generator), and detection
@@ -615,15 +618,19 @@ def detect_period(n: int, max_rows: int, *, window: int = DEFAULT_WINDOW,
     """
     if max_rows < 1:
         raise InvalidParameterError(f"max_rows must be >= 1, got {max_rows}")
-    if window < 4:
+    if window is not None and window < 4:
         raise InvalidParameterError(f"window must be >= 4, got {window}")
     if cadence is None:
         cadence = Cadence()
     candidate = None  # (k0, p) in verification; the ring is pinned at k0
     if resume is None:
         gen = new_generator(n)
-        det = _Detector(window, gen.params)
+        det = _Detector(window or DEFAULT_WINDOW, gen.params)
     else:
+        if window not in (None, resume.detector.window):
+            raise InvalidParameterError(
+                f"--window {window} differs from the window "
+                f"{resume.detector.window} of the resumed run")
         gen = resume.generator.clone()
         if gen.params is None or gen.params.n != n:
             raise InvalidParameterError("resume state is for a different order")

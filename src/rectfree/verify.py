@@ -577,7 +577,14 @@ def _levi_search(c: Configuration, charged: int,
     if charged > vertex_budget:
         raise SizeLimitError(
             f"{charged} search vertices exceed the budget {vertex_budget}")
-    return _canon_search(_levi_adjacency(c), [0] * c.v + [1] * c.v)
+    try:
+        return _canon_search(_levi_adjacency(c), [0] * c.v + [1] * c.v)
+    except RecursionError:
+        # The search recurses once per individualized vertex, and a
+        # disjoint union needs at least one per component.
+        raise SizeLimitError(
+            f"the search on {2 * c.v} vertices goes deeper than Python's "
+            f"recursion limit") from None
 
 
 def isomorphic(a: Configuration, b: Configuration, *,

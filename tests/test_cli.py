@@ -848,6 +848,26 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "internal error: identity automorphism not found\n")
 
+    def test_a_search_deeper_than_the_recursion_limit_exits_2(
+            self, tmp_path, capsys):
+        # The search individualizes one vertex per triangle, one stack
+        # frame each.
+        triangles = [row for t in range(0, 450, 3) for row in
+                     ((t + 1, t + 2), (t + 1, t + 3), (t + 2, t + 3))]
+        path = tmp_path / "triangles.rows"
+        path.write_text(IncidenceMatrix.from_rows(triangles).to_sparse_text(),
+                        encoding="ascii")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            code = main(["verify", str(path), "-n", "1", "--aut"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: the search on 900 vertices goes deeper than Python's "
+            "recursion limit\n")
+
     def test_unsupported_reference_order(self, tmp_path, capsys):
         path = fano_file(tmp_path)
         assert main(["verify", str(path), "-n", "2", "--iso", "6"]) \
@@ -869,6 +889,9 @@ BAD_MATRICES = {
     # A form feed is no line break, as in the row log.
     "form feed": (IncidenceMatrix.from_rows(FANO).to_sparse_text().replace(
         "\n7\t", "\f7\t").encode("ascii"), "line 6: bad column list"),
+    # Nor does one end a P1 comment, which would leave the row "10".
+    "form feed in a P1 comment": (b"P1\n2 1\n# note\x0c10\n",
+                                  "exactly 2 0/1 digits"),
     "non-ASCII": (b"P1\n1 1\n\xff\n", "bad.txt is not ASCII text"),
 }
 
@@ -903,6 +926,17 @@ def test_crlf_and_cr_line_breaks_read_as_newlines(tmp_path, capsys,
         "configuration 7_3\nprojective plane of order 2\n")
     assert rectfree.parse_matrix_text(text.replace("\n", newline)) == \
         IncidenceMatrix.from_rows(FANO)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                         ids=["LF", "CRLF", "CR"])
+def test_a_p1_comment_ends_only_at_a_line_break(newline):
+    text = "P1\n2 1\n# note\x0c11\n10\n".replace("\n", newline)
+    assert rectfree.parse_matrix_text(text) == \
+        IncidenceMatrix.from_rows([(1,)], n_cols=2)
+    fano = IncidenceMatrix.from_rows(FANO)
+    text = fano.to_p1().replace("\n", "\n# \x0b\x1c\x1d\x1e 1\n", 1)
+    assert rectfree.parse_matrix_text(text.replace("\n", newline)) == fano
 
 
 def test_a_large_row_index_costs_no_memory():

@@ -195,6 +195,32 @@ class TestWindow:
         with pytest.raises(InvalidParameterError):
             detect_period(1, 100, window=3)
 
+    def test_resume_refuses_another_window(self):
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 60, window=16)
+        rows = []
+        with pytest.raises(InvalidParameterError,
+                           match=r"^--window 4 differs from the window 16 "):
+            detect_period(3, 1000, window=4, resume=info.value.resume,
+                          on_row=lambda k, ones: rows.append(k))
+        assert rows == []
+        # A fresh run with window 4 can never see p = 16.
+        with pytest.raises(BudgetExhaustedError):
+            detect_period(3, 1000, window=4)
+
+    @pytest.mark.parametrize("window", [None, 16])
+    def test_resume_keeps_its_window(self, window):
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 60, window=16)
+        res = detect_period(3, 1000, window=window, resume=info.value.resume)
+        assert res == detect_period(3, 1000, window=16)
+        assert (res.pp, res.p, res.rows_examined) == (48, 16, 140)
+
+    def test_fresh_run_defaults_to_default_window(self):
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 60, window=None)
+        assert info.value.resume.detector.window == DEFAULT_WINDOW
+
 
 class TestCallbacks:
     def test_on_row_sees_every_examined_row(self):

@@ -1,4 +1,8 @@
-"""The Python example in README.md runs, and its comments hold.
+"""The examples in README.md run, and say what they print.
+
+Each command-line example, an ``sh`` block followed by an output block,
+is run in an empty directory, and its last command must print that
+output.  The ``python`` block's comments are checked as follows.
 
 Each statement of the one ``python`` block is run in turn.  A trailing
 comment makes a claim about the statement's value when it reads as
@@ -15,16 +19,61 @@ claim that turns into prose is caught too.
 import ast
 import os
 import re
+import shlex
+import subprocess
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def readme_example() -> str:
+def readme_blocks() -> list[tuple[str, str, str]]:
+    """(text before the block, language, body) of each fenced block."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
-                            re.S | re.M)
+        return re.findall(r"(.*?)^```(\w*)\n(.*?)^```\n", fh.read(),
+                          re.S | re.M)
+
+
+def readme_example() -> str:
+    blocks = [body for _, lang, body in readme_blocks() if lang == "python"]
     assert len(blocks) == 1, "README.md should hold one python block"
     return blocks[0]
+
+
+def shell_examples() -> list[tuple[str, str]]:
+    """(commands, output) of each ``sh`` block that an output block
+    follows with nothing but blank lines between them."""
+    blocks = readme_blocks()
+    return [(body, output) for (_, lang, body), (gap, out_lang, output)
+            in zip(blocks, blocks[1:])
+            if lang == "sh" and out_lang == "" and not gap.strip()]
+
+
+EXAMPLES = shell_examples()
+
+
+def test_every_output_block_is_checked():
+    assert [body.splitlines()[-1].split()[:2] for body, _ in EXAMPLES] == [
+        ["rectfree", command]
+        for command in ("gen", "period", "fold", "verify", "galfs")]
+
+
+@pytest.mark.parametrize("commands, output", EXAMPLES, ids=[
+    body.splitlines()[-1].split()[1] for body, _ in EXAMPLES])
+def test_shell_example_prints_its_output(tmp_path, commands, output):
+    env = {k: v for k, v in os.environ.items()
+           if k != "RECTFREE_CHECKPOINT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    rectfree = f"{shlex.quote(sys.executable)} -m rectfree "
+    for line in commands.splitlines():
+        if line.startswith("rectfree "):
+            line = rectfree + line[len("rectfree "):]
+        done = subprocess.run(line, shell=True, cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (line, done.stderr)
+    assert done.stdout == output
 
 
 def check_claim(value, comment: str) -> str | None:
