@@ -48,6 +48,7 @@ of a process.  Only an interpreter built without it falls back to
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import sys
 from array import array
@@ -478,7 +479,8 @@ class RowLog:
     With ``path=None`` the lines go to ``sys.stdout.buffer``, continuing
     the chain at ``(offset, row_hash)``: nothing is locked, scanned or
     truncated, syncing and closing only flush, and the byte stream is the
-    log.
+    log.  A path that opens as no regular file, a device such as
+    ``/dev/null``, is written the same way, except that closing closes it.
     """
 
     def __init__(self, path, *, offset: int = 0,
@@ -492,9 +494,13 @@ class RowLog:
             self.path = None
             sys.stdout.flush()  # text written before the first row
             self._fh = sys.stdout.buffer
+            self._regular = False
             return
         self.path = os.fspath(path)
         self._fh = open(self.path, "a+b")
+        self._regular = stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)
+        if not self._regular:
+            return
         try:
             _lock(self._fh.fileno(), f"row log {self.path}")
             if offset:
@@ -516,10 +522,10 @@ class RowLog:
         self.offset += len(line)
 
     def sync(self) -> None:
-        """Flush buffers and fsync, making the log durable (a pipe
-        cannot be fsynced, so standard output is only flushed)."""
+        """Flush buffers and fsync, making the log durable (a pipe or a
+        device cannot be fsynced, so it is only flushed)."""
         self._fh.flush()
-        if self.path is not None:
+        if self._regular:
             os.fsync(self._fh.fileno())
 
     def close(self) -> None:

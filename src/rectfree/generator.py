@@ -93,13 +93,34 @@ def format_row_line(index: int, ones: tuple[int, ...]) -> str:
     return row_line(index, ones)[:-1].decode("ascii")
 
 
+def _number(text: str) -> int | None:
+    """``text`` as an int if it is ASCII digits after at most one leading
+    minus, else None: ``int()`` also takes ``+1``, ``1_0`` and blanks."""
+    digits = text[1:] if text.startswith("-") else text
+    try:
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _read_row_line(line: str) -> tuple[int, tuple[int, ...]]:
+    """The index and ones of a row line without its line end, the one
+    reader of what :func:`row_line` writes; ``k<TAB>`` has no ones."""
+    head, tab, tail = line.partition("\t")
+    index = _number(head) if tab else None
+    if index is None:
+        raise InvalidParameterError(f"bad row index {head!r}")
+    ones = tuple(map(_number, tail.split(","))) if tail else ()
+    if None in ones:
+        raise InvalidParameterError(f"bad column list {tail!r}")
+    return index, ones
+
+
 def parse_row_line(line: str) -> SparseRow:
     """Parse one row-log line back into a :class:`SparseRow`."""
     try:
-        idx_text, cols_text = line.rstrip("\n").split("\t")
-        index = int(idx_text)
-        ones = tuple(int(c) for c in cols_text.split(","))
-    except ValueError as exc:
+        index, ones = _read_row_line(line.removesuffix("\n"))
+    except InvalidParameterError as exc:
         raise InvalidParameterError(f"bad row-log line: {line!r}") from exc
     if index < 1 or not ones or any(b <= a for a, b in zip(ones, ones[1:])):
         raise InvalidParameterError(f"bad row-log line: {line!r}")

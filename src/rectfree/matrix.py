@@ -9,14 +9,20 @@ Two interchange formats are supported:
 * portable bitmap, plain variant (``P1`` header, width height, one
   matrix bit per pixel, row-major), and
 * sparse text: line i lists the ascending one-columns of row i in the
-  same ``k<TAB>j1,j2,...`` shape the generator's row log uses.
+  same ``k<TAB>j1,j2,...`` shape the generator's row log uses, and is
+  read by the same reader; only empty lines are skipped.
+
+In both formats a number is ASCII digits after at most one leading
+minus, and P1 tokens end only at blank, TAB, CR, LF, VT and FF.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, SizeLimitError
-from .generator import row_line
+from .generator import _number, _read_row_line, row_line
+
+_PBM_SPACE = str.maketrans("\t\r\n\v\f", "     ")
 
 #: Densifying a matrix with more cells than this is refused.
 MAX_DENSE_CELLS = 25_000_000
@@ -127,14 +133,13 @@ class IncidenceMatrix:
     @classmethod
     def from_p1(cls, text: str) -> "IncidenceMatrix":
         body = "\n".join(line.split("#", 1)[0] for line in _lines(text))
-        tokens = body.split(None, 3)
+        tokens = [t for t in body.translate(_PBM_SPACE).split(" ") if t]
         if len(tokens) < 3 or tokens[0] != "P1":
             raise InvalidParameterError("not a plain portable bitmap (P1)")
-        try:
-            width, height = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise InvalidParameterError("bad P1 dimensions") from None
-        bits = "".join((tokens[3] if len(tokens) == 4 else "").split())
+        width, height = _number(tokens[1]), _number(tokens[2])
+        if width is None or height is None:
+            raise InvalidParameterError("bad P1 dimensions")
+        bits = "".join(tokens[3:])
         if len(bits) != width * height or set(bits) - {"0", "1"}:
             raise InvalidParameterError(
                 f"P1 body must hold exactly {width * height} 0/1 digits")
@@ -151,34 +156,22 @@ class IncidenceMatrix:
                          in enumerate(self.rows, 1)]).decode("ascii")
 
     @classmethod
-    def from_sparse_text(cls, text: str, n_cols: int | None = None
-                         ) -> "IncidenceMatrix":
-        entries: dict[int, tuple[int, ...]] = {}
+    def from_sparse_text(cls, text: str) -> "IncidenceMatrix":
+        rows = []
         for lineno, line in enumerate(_lines(text), 1):
-            if not line.strip():
+            if not line:
                 continue
-            head, _, tail = line.partition("\t")
             try:
-                idx = int(head)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"line {lineno}: bad row index {head!r}") from None
-            tail = tail.strip()
-            try:
-                ones = tuple(int(t) for t in tail.split(",")) if tail else ()
-            except ValueError:
-                raise InvalidParameterError(
-                    f"line {lineno}: bad column list {tail!r}") from None
-            if idx < 1 or idx in entries:
+                idx, ones = _read_row_line(line)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"line {lineno}: {exc}") from None
+            if idx > len(rows) + 1:
+                raise InvalidParameterError(f"missing row {len(rows) + 1}")
+            if idx != len(rows) + 1:
                 raise InvalidParameterError(
                     f"line {lineno}: bad or duplicate row index {idx}")
-            entries[idx] = ones
-        n_rows = max(entries, default=0)
-        if len(entries) != n_rows:  # so a row up to len + 1 is missing
-            missing = next(i for i in range(1, n_rows + 1) if i not in entries)
-            raise InvalidParameterError(f"missing row {missing}")
-        rows = tuple(entries[i] for i in range(1, n_rows + 1))
-        return cls(n_rows, _width(rows) if n_cols is None else n_cols, rows)
+            rows.append(ones)
+        return cls.from_rows(rows)
 
 
 def _lines(text: str) -> list[str]:

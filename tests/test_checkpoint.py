@@ -19,6 +19,7 @@ from rectfree import (
     CorruptCheckpointError,
     EMPTY_ROW_HASH,
     GeneratorState,
+    IncidenceMatrix,
     InvalidParameterError,
     RowLog,
     VersionMismatchError,
@@ -248,6 +249,14 @@ class TestRowLog:
         rows = list(iter_row_log(str(log_path)))
         assert len(rows) == 777
         assert rows[-1].index == 777
+
+    def test_iter_reads_a_sparse_matrix(self, tmp_path):
+        matrix = IncidenceMatrix.from_rows(
+            row.ones for row in generate_prefix(3, 40))
+        path = tmp_path / "m.rows"
+        path.write_text(matrix.to_sparse_text(), encoding="ascii")
+        assert [(row.index, row.ones) for row in iter_row_log(path)] == \
+            list(enumerate(matrix.rows, 1))
 
     def test_wrong_resume_hash_rejected(self, saved):
         checkpoint, _, log_path = saved

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -223,6 +224,20 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: --out ") and err.count("\n") == 1
         assert log.read_bytes() == before
+
+    @pytest.mark.skipif(not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+                        reason="the null device is not a character device")
+    def test_out_to_the_null_device_is_written_as_stdout(self, tmp_path,
+                                                         capsys):
+        # A device takes neither truncate nor fsync; both used to exit 5.
+        base = ["gen", "-n", "2", "--out", os.devnull, "--progress-every",
+                "0"]
+        ckpt = ["--checkpoint", str(tmp_path / "a.ckpt")]
+        assert main(base + ["--rows", "5"]) == EXIT_OK
+        assert main(base + ckpt + ["--rows", "5"]) == EXIT_OK
+        assert main(base + ckpt + ["--rows", "9"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            f"rows: 9\nrow log: {os.devnull}\ncheckpoint: {ckpt[1]}\n")
 
 
 class TestPeriod:
@@ -755,6 +770,18 @@ class TestFold:
 
 
 class TestVerify:
+    def test_a_row_log_is_a_matrix_file(self, tmp_path, capsys):
+        log = tmp_path / "f.rows"
+        assert main(["gen", "-n", "2", "--rows", "7", "--out", str(log),
+                     "--progress-every", "0"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "-n", "2", str(log), "--aut"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "configuration 7_3\n"
+            "projective plane of order 2\n"
+            "automorphisms: 168 (point/line bijections; dualities not "
+            "counted)\n")
+
     def test_fano_full_report(self, tmp_path, capsys):
         path = fano_file(tmp_path)
         code = main(["verify", str(path), "-n", "2", "--aut", "--iso", "2"])
@@ -893,6 +920,24 @@ BAD_MATRICES = {
     "form feed in a P1 comment": (b"P1\n2 1\n# note\x0c10\n",
                                   "exactly 2 0/1 digits"),
     "non-ASCII": (b"P1\n1 1\n\xff\n", "bad.txt is not ASCII text"),
+    # A number is ASCII digits after at most one minus, as written.
+    "underscore in a number": (b"1\t1,2\n2\t1_0\n",
+                               "line 2: bad column list '1_0'"),
+    "plus sign and blank": (b"1\t+1, 2\n", "line 1: bad column list '+1, 2'"),
+    "blanks around numbers": (b" 1 \t 1 , 2 \n",
+                              "line 1: bad row index ' 1 '"),
+    # Line i is row i: rows are not sorted into place.
+    "rows out of order": (b"2\t1\n1\t2\n", "missing row 1"),
+    # P1 tokens end only at blank, TAB, CR, LF, VT and FF.
+    "file separator in a P1 body": (b"P1\n2 1\n1\x1c0\n",
+                                    "exactly 2 0/1 digits"),
+    "unit separator after P1": (b"P1\x1f2 1 10\n",
+                                "not a plain portable bitmap"),
+    # More digits than int() converts: refused, not a traceback.
+    "a 5000-digit column": (b"1\t" + b"1" * 5000 + b"\n",
+                            "line 1: bad column list"),
+    "a 5000-digit P1 width": (b"P1\n" + b"1" * 5000 + b" 1\n1\n",
+                              "bad P1 dimensions"),
 }
 
 

@@ -6,11 +6,14 @@ checkpoint with a verification in flight, and a matrix in both text
 formats) are mutated at the byte level: bytes set, inserted or deleted.
 A mutated checkpoint gets a fresh checksum, so that the damage reaches
 the decoder behind it.  Each mutated input then goes through
-:func:`rectfree.cli.main` under the commands that read it.
+:func:`rectfree.cli.main` under the commands that read it.  A mutated
+sparse matrix that is accepted must also be the text its matrix writes,
+up to line ends, empty lines and leading zeros.
 """
 import hashlib
 import io
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectfree import IncidenceMatrix
+from rectfree import IncidenceMatrix, InvalidParameterError, parse_matrix_text
 from rectfree.cli import EXIT_INTERNAL, main
 
 FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
@@ -128,3 +131,22 @@ def test_damaged_input_is_an_exit_code(valid, target, edits):
         for file, data in files.items():
             Path(d, file).write_bytes(data)
         command(d)
+
+
+def as_written(text: str) -> str:
+    """``text`` as :meth:`IncidenceMatrix.to_sparse_text` writes it: LF
+    line ends, no empty line, no leading zero and a final newline."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return "".join(re.sub(r"[0-9]+", lambda m: str(int(m[0])), line) + "\n"
+                   for line in lines if line)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edits=EDITS)
+def test_an_accepted_sparse_text_reads_as_written(valid, edits):
+    try:
+        text = mutate(valid["sparse"], edits).decode("ascii")
+        matrix = parse_matrix_text(text)
+    except (UnicodeDecodeError, InvalidParameterError):
+        return
+    assert matrix.to_sparse_text() == as_written(text)

@@ -192,7 +192,8 @@ class TestRowLineFormat:
         assert parse_matrix_text(text) == matrix
 
     @pytest.mark.parametrize("bad", ["", "1", "1 2,3", "0\t1,2", "2\t2,1",
-                                     "2\t", "x\t1,2", "2\t1,x"])
+                                     "2\t", "x\t1,2", "2\t1,x",
+                                     "1_0\t1,2", "+3\t1,2", "3\t1,2\r"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(InvalidParameterError):
             parse_row_line(bad)
