@@ -7,7 +7,7 @@ running content hash of all rows emitted so far, and the byte offset the
 row log had reached.  Loading a checkpoint and generating ``t`` further
 rows is bit-identical to never having stopped.
 
-File layout, format version 2 (all integers little-endian):
+File layout, format version 3 (all integers little-endian):
 
 * an 8-byte header: the 6-byte magic ``RFCKPT`` plus a 2-byte format
   version;
@@ -19,14 +19,18 @@ File layout, format version 2 (all integers little-endian):
   and records.
 
 A windowed detector payload holds the window, the first ring row and
-the ring's row count; then two packed blocks of signed integers, the
-ring's diagonal offsets (n + 1 per row) and one lag k - l(k) per row;
-then the candidate in flight, if any.  A packed block is its element
-width (the smallest of 1, 2, 4 or 8 bytes that holds every value), its
-byte length, and the elements.  The fingerprint table is not stored:
-loading rebuilds it from the ring.  Version 1 stored every offset in 8
-bytes and the table instead of the lags; it still loads, with an empty
-ring and table and no candidate in flight, and is never written.
+the ring's row count, then the ring's diagonal offsets (n + 1 per row)
+as a packed block; then the anchor spacing and the anchor count, and
+four packed blocks: the anchors' rows, their lags, their live row
+counts, and the diagonal offsets of all their live rows, anchor after
+anchor.  A packed block is its element width (the smallest of 1, 2, 4
+or 8 bytes that holds every value), its byte length, and the elements.
+
+Versions 1 and 2 still load, and are never written.  Version 2 stored
+a lag per ring row and a fingerprint candidate instead of anchors, which
+are seeded from its ring (:func:`~rectfree.period.anchors_from_ring`).
+Version 1 stored neither: it loads with an empty ring and no anchors.
+A state left out can only delay detection.
 
 Writes go to a temporary file in the destination directory which is
 fsynced and atomically renamed over the target, so a crash at any
@@ -59,11 +63,12 @@ from functools import cache
 from .errors import (CorruptCheckpointError, InvalidParameterError,
                      VersionMismatchError)
 from .generator import GeneratorState, MAX_ORDER, parse_row_line, row_line
-from .period import TYPECODES, DetectorSnapshot, ResumeState, narrowest
+from .period import (SPACING, TYPECODES, DetectorSnapshot, ResumeState,
+                     anchors_from_ring, narrowest)
 
 MAGIC = b"RFCKPT"
-FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, FORMAT_VERSION)  # only FORMAT_VERSION is written
+FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, FORMAT_VERSION)  # only FORMAT_VERSION is written
 
 #: Chain-hash seed for an empty row log.
 EMPTY_ROW_HASH = b"\x00" * 32
@@ -207,20 +212,27 @@ def _encode(cp: Checkpoint) -> list[list]:
     det: list = []
     if cp.detector is not None:
         snap = cp.detector
-        if snap.lags is None:
+        w = cp.n + 1
+        windows = [window for _, _, window in snap.anchors]
+        if len(snap.ring) % w or any(not window or len(window) % w
+                                     for window in windows):
             raise InvalidParameterError(
-                "a detector snapshot without lags cannot be written")
-        if len(snap.ring) != len(snap.lags) * (cp.n + 1):
-            raise InvalidParameterError(
-                f"every ring row must hold {cp.n + 1} offsets")
-        det.append(_enc_ints(snap.window, snap.ring_first, len(snap.lags)))
+                f"every ring and anchor row must hold {w} offsets")
+        det.append(_enc_ints(snap.window, snap.ring_first,
+                             len(snap.ring) // w))
         det.extend(_enc_packed(snap.ring))
-        det.extend(_enc_packed(snap.lags))
-        if snap.candidate is None:
-            det.append(_Q.pack(0))
-        else:
-            k0, p = snap.candidate
-            det.append(_Q.pack(1) + _Q.pack(k0) + _Q.pack(p))
+        det.append(_enc_ints(snap.spacing, len(windows)))
+        for column in ([a for a, _, _ in snap.anchors],
+                       [lag for _, lag, _ in snap.anchors],
+                       [len(window) // w for window in windows]):
+            det.extend(_enc_packed(array("q", column)))
+        # One array of the widest window's type, extended array by array.
+        flat = array(TYPECODES[max([x.itemsize for x in windows],
+                                   default=1)])
+        for window in windows:
+            flat.extend(window if window.typecode == flat.typecode
+                        else array(flat.typecode, window))
+        det.extend(_enc_packed(flat))
     return [core, [cp.row_hash], live, weights, tag, det]
 
 
@@ -309,31 +321,48 @@ def _decode(records: list[memoryview], version: int) -> Checkpoint:
             raise CorruptCheckpointError(
                 "detector payload present without a detector tag")
     elif tag == DETECTOR_WINDOWED:
+        w = n + 1
         d_r = _Reader(records[5])
         window, ring_first, ring_len = d_r.u64(), d_r.u64(), d_r.u64()
+        spacing, anchors = SPACING, ()
         if version == 1:
-            # Rows without lags cannot be replayed: the detector resumes
-            # with an empty ring and table, and no candidate in flight.
+            # Without lags no earlier state can be rebuilt: the ring is
+            # empty, and there are no anchors.
             for _ in range(ring_len):  # each row's 8-byte offsets
                 d_r.take(8 * d_r.u32())
             for _ in range(d_r.u64()):  # the table
                 d_r.take(40)
-            ring_first, ring, lags = next_k, array("b"), array("b")
+            ring_first, ring = next_k, array("b")
         else:
-            ring = d_r.packed(ring_len * (n + 1))
-            lags = d_r.packed(ring_len)
-        cand_flag = d_r.u64()
-        if cand_flag == 0:
-            candidate = None
-        elif cand_flag == 1:
-            candidate = (d_r.u64(), d_r.u64())
+            ring = d_r.packed(ring_len * w)
+        if version < 3:
+            lags = d_r.packed(ring_len) if version == 2 else None
+            flag = d_r.u64()
+            if flag not in (0, 1):
+                raise CorruptCheckpointError(
+                    f"detector candidate flag must be 0 or 1, got {flag}")
+            keep = None
+            if flag:  # a candidate (k0, p): the state after row k0 - 1
+                keep = d_r.u64() - 1
+                d_r.u64()
+            if version == 2:
+                spacing, anchors = anchors_from_ring(
+                    n, ring_first, ring, lags, keep)
         else:
-            raise CorruptCheckpointError(
-                f"detector candidate flag must be 0 or 1, got {cand_flag}")
+            spacing, count = d_r.u64(), d_r.u64()
+            rows, lags, lives = [d_r.packed(count) for _ in range(3)]
+            if count and min(lives) < 1:
+                raise CorruptCheckpointError("an anchor holds no live row")
+            offs = d_r.packed(sum(lives) * w)
+            anchors, pos = [], 0
+            for a, lag, rows_held in zip(rows, lags, lives):
+                anchors.append((a, lag, offs[pos:pos + rows_held * w]))
+                pos += rows_held * w
+            anchors = tuple(anchors)
         d_r.done()
-        detector = DetectorSnapshot(
-            window=window, ring_first=ring_first, ring=ring, lags=lags,
-            candidate=None if version == 1 else candidate)
+        detector = DetectorSnapshot(window=window, ring_first=ring_first,
+                                    ring=ring, spacing=spacing,
+                                    anchors=anchors)
     else:
         raise CorruptCheckpointError(f"unknown detector tag {tag!r}")
     return Checkpoint(n=n, next_k=next_k, frontier_l=frontier_l,
@@ -416,7 +445,7 @@ def load_checkpoint(source) -> Checkpoint:
     if version not in _READABLE_VERSIONS:
         raise VersionMismatchError(
             f"checkpoint format version {version} is not supported "
-            f"(this build reads versions 1 and {FORMAT_VERSION})")
+            f"(this build reads versions 1 to {FORMAT_VERSION})")
     body = memoryview(data)[:-8]  # records are views of it, not copies
     if _hasher()(body).digest()[:8] != data[-8:]:
         raise CorruptCheckpointError("checksum mismatch")
@@ -479,8 +508,9 @@ class RowLog:
     With ``path=None`` the lines go to ``sys.stdout.buffer``, continuing
     the chain at ``(offset, row_hash)``: nothing is locked, scanned or
     truncated, syncing and closing only flush, and the byte stream is the
-    log.  A path that opens as no regular file, a device such as
-    ``/dev/null``, is written the same way, except that closing closes it.
+    log.  A path that is no regular file, a FIFO or a device such as
+    ``/dev/null``, is opened write-only and written the same way, except
+    that closing closes it.
     """
 
     def __init__(self, path, *, offset: int = 0,
@@ -497,7 +527,13 @@ class RowLog:
             self._regular = False
             return
         self.path = os.fspath(path)
-        self._fh = open(self.path, "a+b")
+        # A FIFO or a device is opened write-only: a buffered read-write
+        # file refuses a stream that cannot seek.
+        try:
+            regular = stat.S_ISREG(os.stat(self.path).st_mode)
+        except FileNotFoundError:
+            regular = True  # created here
+        self._fh = open(self.path, "a+b" if regular else "ab")
         self._regular = stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)
         if not self._regular:
             return

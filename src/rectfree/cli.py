@@ -381,9 +381,11 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
                    metavar="M", help="detection row budget "
                    f"(default {_DEFAULT_MAX_ROWS})")
     p.add_argument("--window", type=int, metavar="W",
-                   help="recurrence window (default 2^17 rows; a resumed "
-                   "period checkpoint keeps its own); at n = 6 each window "
-                   "row takes about 41 bytes of memory, and 8 in a checkpoint")
+                   help="ring of recent rows, W + sigma + 1 of them, from "
+                   "which pp and the period's rows are read (default 2^17; "
+                   "a resumed period checkpoint keeps its own); it does "
+                   "not bound the period; at n = 6 a ring row takes 7 to "
+                   "11 bytes of memory, and 7 in a checkpoint")
 
 
 def _add_progress(p: argparse.ArgumentParser) -> None:

@@ -1,27 +1,40 @@
 """Period and preperiod detection for the streaming construction.
 
-The state about to build row k — the live rows cropped at the frontier
-column, plus the frontier's offset from the diagonal — determines every
-later row.  The detector fingerprints that window per row in a
-translation-invariant way (one-positions encoded as offsets from the
-diagonal, combined by a rolling polynomial hash) and keeps fingerprints
-of the most recent ``window`` rows, so the first recurrence of a state
-is found in a single pass whenever the cycle length fits in the window.
+The state after row k is the frontier column l, the leftmost column
+still short of its cap, and the live rows, the rows that still hold a
+one at or right of l.  Rows leave the live window only from its front,
+so the live rows are the consecutive rows k - L + 1 .. k (none at all
+when the construction restarts).  :meth:`GeneratorState.from_snapshot`
+rebuilds the whole generator from exactly these fields, and the greedy
+scan only compares columns with each other, so shifting every row index
+and every column of a state by d shifts every later row by d.  In
+diagonal form a state is its lag k + 1 - l, its count L, and each live
+row's one-columns minus the row's index.  When the state after row k
+equals, in that form, the state after an earlier row a, the generator
+after row k is the one after row a shifted by p = k - a, and every later
+row repeats: ones(row i + p) = ones(row i) + p for all i > a.  An
+element-by-element comparison of the two states proves the period: no
+hash is trusted, and nothing is left to verify.
 
-The fingerprint key holds the diagonal offset k - l(k) exactly, beside
-the hash, so two states with the same key are diagonally aligned: a hit
-at rows (k0, k0+p) always has l(k0+p) = l(k0) + p.  The hash part is
-never trusted.  A candidate period p is verified bit-exactly: the
-row-shift identity ones(row i+p) = ones(row i) + p must hold for
-p + sigma consecutive rows from k0 — enough that the identity then
-sustains itself forever, because every later window consists of rows
-already known to repeat.
+The detector stores the state after every S-th row as an anchor, keyed
+by the newest row's offsets, the lag and L; each row costs one key and
+one dict lookup, and a hit compares the anchor's window with the live
+one.  At most :data:`MAX_ANCHORS` anchors are kept: when the set is full,
+every other anchor goes and S doubles.  This is the thinning of
+stack-based cycle finding (Nivasch, "Cycle detection using a stack",
+IPL 90, 2004) and a keyed form of distinguished points (van Oorschot and
+Wiener, J. Cryptology 12, 1999), with an exact comparison in place of a
+hash.  An anchor whose live rows all lie past the preperiod returns p
+rows later, so a period of any length is confirmed at most S + sigma + p
+rows after pp.
 
-The preperiod is then the last row i < k0 where the row-shift identity
-fails.  It is read from the detector's ring of recent rows when the ring
-reaches back to that row (or to row 1); otherwise a second cursor
-regenerates the rows from row 1.  Minimality of p is confirmed against
-every proper divisor over one full period window.
+A return shows that the rows after the anchor repeat with period p; p
+is then shrunk to its smallest divisor that still shifts one period onto
+the next, and the preperiod is the last row i <= a where the row-shift
+identity fails.  It is read from the detector's ring of recent rows when
+the ring reaches back to that row (or to row 1); otherwise a second
+cursor regenerates the rows from row 1.  The period's rows come from the
+ring too, or, for a period longer than the ring, from the anchor's state.
 
 Special case: when the frontier column of the state about to build row
 k has no ones at all, the construction restarts from scratch shifted by
@@ -31,25 +44,28 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import sub
+from itertools import accumulate
+from operator import add, sub
 from time import monotonic
 
 from .errors import (BudgetExhaustedError, CorruptCheckpointError,
                      InvalidParameterError, InvariantViolationError)
 from .generator import GeneratorState, Params, new_generator
 
-#: Default number of recent states kept for recurrence detection.  A
-#: cycle is only detectable while it fits in the window; raise via the
-#: ``window`` argument to hunt for longer periods at more memory.
+#: Default number of recent rows the ring keeps, beyond sigma + 1, for
+#: the preperiod and the period's rows.  It does not bound the period.
 DEFAULT_WINDOW = 1 << 17
 
-_MOD = (1 << 61) - 1
+#: Most anchors a detector keeps.
+MAX_ANCHORS = 1024
+#: Rows between anchors at the start of a run; the spacing doubles each
+#: time the anchor set fills.
+SPACING = 16
+
 _INF = float("inf")
 _NEVER = 1 << 62  # a row count no run reaches
-_B = 0x2545F4914F6CDD1D % _MOD
 
 
 @dataclass(frozen=True)
@@ -76,6 +92,16 @@ class DefiningMatrix:
 
 def defining_matrix(state: GeneratorState) -> DefiningMatrix:
     """Window of ``state`` about to build row ``state.next_k``.
+
+    This is the paper's defining matrix: the live rows cut at the
+    frontier, as a 0-1 window whose columns count from the frontier.  It
+    differs from the detector's anchor state, which keeps each live row
+    whole in diagonal offsets beside the lag and the live count.  The
+    ones left of the frontier sit in complete columns and cannot change
+    a later row, so equal anchor states have equal defining matrices, but
+    not conversely; the detector compares the finer form because it is
+    what :meth:`GeneratorState.from_snapshot` takes and can be read from
+    the ring without cropping.
 
     Requires at least one emitted row.  When the frontier column has no
     ones the window is empty (d = b = 0) — the construction restarts.
@@ -106,14 +132,15 @@ class PeriodResult:
     ``b_breadth`` is the largest |column - row| over ones in rows
     (pp, pp+p]; ``l_max`` the largest row length there.  ``case1`` marks
     the restart shortcut.  ``rows_examined`` counts the rows generated by
-    the detection cursor, resumed runs included.  Rows that a resumed run
-    regenerates from row 1 are not counted: rows 1..p for the restart
-    shortcut when the ring starts after row 1, and rows 1 through
-    k0 - 1 + p for pp when the ring no longer reaches back to the last
-    row-shift mismatch.  ``offsets`` is one period, in the ring's flat
-    layout: the diagonal offsets (one-columns minus the row index, n + 1
-    per row) of rows pp+1..pp+p.  Row r > pp has its ones at r plus the
-    offsets of row pp + 1 + (r - pp - 1) mod p.
+    the detection cursor, resumed runs included.  Rows that a run
+    regenerates are not counted: rows 1..p for the restart shortcut when
+    the ring starts after row 1, rows 1 through a + p for pp when the
+    ring no longer reaches back to the last row-shift mismatch, and the
+    period's rows from the anchor's state when the period is longer than
+    the ring.  ``offsets`` is one period, in the ring's flat layout: the
+    diagonal offsets (one-columns minus the row index, n + 1 per row) of
+    rows pp+1..pp+p.  Row r > pp has its ones at r plus the offsets of
+    row pp + 1 + (r - pp - 1) mod p.
     """
 
     n: int
@@ -136,41 +163,36 @@ def minimal_fold_multiplier(result: PeriodResult) -> int:
     return m
 
 
+#: One anchor: the row a it follows, the lag a + 1 - l of its state, and
+#: the diagonal offsets of its live rows, n + 1 per row, oldest first.
+Anchor = tuple[int, int, array]
+
+
 @dataclass(frozen=True)
 class DetectorSnapshot:
     """Plain-data image of the detector, for checkpointing.
 
     ``ring`` is one flat array of the diagonal offsets (one-columns
     minus the row index, n + 1 per row) of the rows from ``ring_first``
-    through the last row generated, and ``lags[t]`` is k - l(k) for the
-    state k after row ``ring_first + t``: the same packed layout the
-    detector keeps in memory, as signed arrays of any width.  The
-    fingerprint table is not stored: restoring replays the ring, which
-    reaches back ``window + sigma + 1`` rows so that every state inside
-    the table's horizon gets its full live window.  At n = 6 a ring row
-    takes 8 bytes here and on disk, and the detector rebuilt from it
-    about 41 bytes per window row in memory.
+    through the last row generated: at most ``window + sigma + 1`` of
+    them, the same packed layout the detector keeps in memory, as a
+    signed array of any width.  ``anchors`` are the stored states, in
+    row order, and ``spacing`` the current S.  Anchors are placed at rows
+    fixed by the row count alone, so a snapshot at a given row does not
+    depend on where earlier runs were cut.
 
     :func:`detect_period` takes snapshots from its live detector, both
     for in-loop checkpoints and when the budget runs out, and goes on
-    detecting; a process replays a snapshot only once, when it resumes
-    from one.  Restoring copies the arrays, so one snapshot can seed any
-    number of runs.
-
-    ``candidate`` preserves an in-flight verification — the ``(k0, p)``
-    recurrence being checked when the budget ran out — so that resuming
-    continues the bit-exact comparison instead of discarding it.  The
-    ring then reaches back to row k0 as well.  Without this, a run
-    checkpointed in slices shorter than the ``2p + sigma`` verification
-    span would restart verification every slice and never confirm a
-    period.
+    detecting.  Resuming copies the ring and indexes at most
+    :data:`MAX_ANCHORS` anchors; nothing is replayed, and one snapshot
+    can seed any number of runs.
     """
 
     window: int
     ring_first: int
     ring: array
-    lags: array
-    candidate: tuple[int, int] | None = None  # (k0, p) mid-verification
+    spacing: int = SPACING
+    anchors: tuple[Anchor, ...] = ()
 
 
 @dataclass
@@ -203,46 +225,40 @@ def narrowest(values: array, more=()) -> array:
 
 
 class _Ring:
-    """Diagonal offsets and state lags of the last ~maxlen rows, packed.
+    """Diagonal offsets of the last ~maxlen rows, packed.
 
-    ``offs`` holds ``width`` offsets per row and ``lags`` one lag per
-    row, each in a signed array that starts one byte wide and widens
-    (2, 4, then 8 bytes) when a value does not fit, keeping every row.
-    Row i starts at ``offs[(i - first) * width]``.  Rows at or after
-    ``pin`` are never trimmed: they hold the verification in flight.
+    ``offs`` holds ``width`` offsets per row in a signed array that
+    starts one byte wide and widens (2, 4, then 8 bytes) when a value
+    does not fit, keeping every row.  Row i starts at
+    ``offs[(i - first) * width]``.  :meth:`trim` cuts the oldest rows
+    back to ``maxlen``; :meth:`append` does so past 1.5 ``maxlen`` rows.
     """
 
-    __slots__ = ("maxlen", "width", "first", "offs", "lags", "pin")
+    __slots__ = ("maxlen", "width", "first", "offs")
 
     def __init__(self, maxlen: int, width: int, first: int = 1,
-                 offs: array | None = None, lags: array | None = None):
+                 offs: array | None = None):
         self.maxlen = maxlen
         self.width = width
         self.first = first  # row index of the first row held
-        self.offs = offs or array("b")
-        self.lags = lags or array("b")
-        self.pin: int | None = None
+        self.offs = array("b") if offs is None else offs
 
-    def append(self, offs: list[int], lag: int) -> None:
+    def append(self, offs: list[int]) -> None:
         try:
             self.offs.fromlist(offs)  # all or nothing
         except OverflowError:
             self.offs = narrowest(self.offs, offs)
-        lags = self.lags
-        try:
-            lags.append(lag)
-        except OverflowError:
-            self.lags = lags = narrowest(lags, [lag])
-        if len(lags) > self.maxlen + (self.maxlen >> 1):
-            cut = len(lags) - self.maxlen
-            if self.pin is not None:
-                cut = min(cut, self.pin - self.first)
+        if len(self.offs) > (self.maxlen + (self.maxlen >> 1)) * self.width:
+            self.trim()
+
+    def trim(self) -> None:
+        cut = len(self.offs) // self.width - self.maxlen
+        if cut > 0:
             del self.offs[:cut * self.width]
-            del lags[:cut]
             self.first += cut
 
     def covers(self, row: int) -> bool:
-        return self.first <= row < self.first + len(self.lags)
+        return self.first <= row < self.first + len(self.offs) // self.width
 
     def rows(self, lo: int, hi: int) -> array:
         """The offsets of rows lo .. hi - 1, as one flat array."""
@@ -250,238 +266,166 @@ class _Ring:
         return self.offs[(lo - self.first) * w:(hi - self.first) * w]
 
 
-class _Table:
-    """The recurrence table: for each fingerprint key among the last
-    ``window`` states, the newest state row k that had it.
-
-    A key is a pair of ints, ``poly`` (the rolling hash, below 2**61) and
-    ``tag``, ``live | lag << 20`` (the live row count, below 2**20, and
-    the frontier lag k - l).  ``polys`` and ``tags`` form a circular key
-    ring of ``window + 1`` cells, filled in state order from cell 0;
-    ``cell`` is the cell of the next state.  So state k never shares a
-    cell with state k - window, which it expires.  ``slots`` is a
-    linear-probing hash table of key ring cells, home slot
-    ``poly & (len(slots) - 1)``, -1 for empty: a state's row is the
-    newest row minus its distance back in the ring.  A cell takes four
-    bytes (eight for a window of 2**31 or more), so four slots per entry
-    cost what two row numbers would, and keep probe runs short.
-    Deletion shifts later entries of the probe run back into the hole
-    (Knuth, TAOCP vol. 3, 6.4, Algorithm R), so there are no tombstones.
-    The key ring grows by appending and ``slots`` by doubling, keeping at
-    least four slots per entry, so a new table holds nothing sized by its
-    window.  States must be recorded in consecutive order.
-
-    This is 16 bytes per window row in the key ring and 16 to 32 in
-    ``slots``, against about 84 for a dict and a deque of int keys.
-    """
-
-    __slots__ = ("window", "span", "polys", "tags", "cell", "slots")
-
-    def __init__(self, window: int):
-        self.window = window
-        self.span = window + 1
-        self.polys = array("q")
-        self.tags = array("q")
-        self.cell = 0
-        self.slots = array("i" if window < 1 << 31 else "q", [-1]) * 8
-
-    def reserve(self, states: int) -> None:
-        """Size ``slots`` for ``states`` more states at once, so that
-        recording them rehashes nothing."""
-        size = len(self.slots)
-        while 4 * min(len(self.polys) + states, self.window) > size:
-            size *= 2
-        if size > len(self.slots):
-            self._grow(size)
-
-    def record(self, k: int, poly: int, live: int, lag: int) -> int | None:
-        """Enter state k, the state after the last recorded one, with
-        its rolling hash, live row count and frontier lag; return the
-        state row k0 its key held before, then expire state k - window.
-        The key fixes the lag, so l0 = k0 - lag."""
-        tag = live | lag << 20
-        polys, tags, slots = self.polys, self.tags, self.slots
-        c = self.cell
-        mask = len(slots) - 1
-        i = poly & mask
-        hit = slots[i]
-        while hit >= 0:
-            if polys[hit] == poly and tags[hit] == tag:
-                break
-            i = (i + 1) & mask
-            hit = slots[i]
-        slots[i] = c
-        span = self.span
-        if c < len(polys):
-            polys[c] = poly
-            tags[c] = tag
-            c += 1
-            if c == span:
-                c = 0
-        else:
-            polys.append(poly)
-            tags.append(tag)
-            c += 1
-            if c < span:  # nothing to expire yet
-                self.cell = c
-                if 4 * c > mask + 1:  # one entry at most per state
-                    self._grow(2 * (mask + 1))
-                return None if hit < 0 else k - (c - 1 - hit) % span
-            c = 0
-        self.cell = c
-        # State k - window is in cell c: find its slot, unless a newer
-        # state with its key took it over.
-        i = polys[c] & mask
-        s = slots[i]
-        while s != c:
-            if s < 0:
-                break
-            i = (i + 1) & mask
-            s = slots[i]
-        else:
-            slots[i] = -1
-            j = (i + 1) & mask
-            s = slots[j]
-            while s >= 0:
-                # The entry at j may fill the hole at i unless its home
-                # lies cyclically in (i, j].
-                h = polys[s] & mask
-                if (h <= i or h > j) if i < j else (j < h <= i):
-                    slots[i] = s
-                    slots[j] = -1
-                    i = j
-                j = (j + 1) & mask
-                s = slots[j]
-        return None if hit < 0 else k - (c - 1 - hit) % span
-
-    def _grow(self, size: int) -> None:
-        polys = self.polys
-        slots = array(self.slots.typecode, [-1]) * size
-        mask = size - 1
-        for s in self.slots:
-            if s >= 0:
-                i = polys[s] & mask
-                while slots[i] >= 0:
-                    i = (i + 1) & mask
-                slots[i] = s
-        self.slots = slots
-
-
 class _Detector:
-    """Rolling window-state fingerprints plus the recurrence table.
+    """The ring of recent rows and the anchors of one detection run.
 
-    Every state is recorded, so the table is a pure function of the
-    rows in the ring: :meth:`restore` rebuilds it by replaying them.
-    A state's key is the rolling hash (below 2**61), the live row count
-    (at most sigma + 1, below 2**20) and the frontier lag, so two states
-    with the same key have the same lag.  The :class:`_Table` maps a key
-    to the last state row k that had it over the last ``window`` states;
-    the state after each row is recorded in it once the row is pushed.
-    At n = 6 the detector holds about 41 bytes per window row: 8 for the
-    packed ring row, the rest the table's key ring and slots.
+    ``anchors`` maps an anchor's row a to its lag and live window, in row
+    order; ``keys`` maps each key (the newest row's offsets, the lag, L)
+    to the rows of every anchor that has it, so two states that share a
+    key both stay findable.  An anchor takes the window's offsets (n + 1
+    bytes a row at n = 6) plus about 400 bytes of Python objects.
     """
 
-    __slots__ = ("window", "sigma", "table", "ring", "deq", "poly", "pows")
+    __slots__ = ("window", "width", "sigma", "ring", "spacing", "anchors",
+                 "keys")
 
     def __init__(self, window: int, params: Params):
         self.window = window
+        self.width = params.n + 1
         self.sigma = params.sigma
-        self.table = _Table(window)
-        # sigma extra rows give the oldest state in the table its window.
-        self.ring = _Ring(window + 1 + self.sigma, params.n + 1)
-        # live-window mirror: (last one-column, hash term) per live row;
-        # poly = sum of term * B^(rows after it), pows[d] = B^d.
-        self.deq: deque[tuple[int, int]] = deque()
-        self.poly = 0
-        self.pows = [1]
+        self.ring = _Ring(window + self.sigma + 1, self.width)
+        self.spacing = SPACING
+        self.anchors: dict[int, tuple[int, array]] = {}
+        self.keys: dict[tuple, list[int]] = {}
 
-    def push_row(self, ones_last: int, enc: tuple[int, ...],
-                 frontier: int) -> None:
-        """Add a row to the live window, then evict rows left of
-        ``frontier``, the frontier of the state after the row."""
-        h = hash(enc) % _MOD
-        deq = self.deq
-        pows = self.pows
-        poly = (self.poly * _B + h) % _MOD
-        deq.append((ones_last, h))
-        if len(deq) > len(pows):
-            pows.append(pows[-1] * _B % _MOD)
-        while deq and deq[0][0] < frontier:
-            poly = (poly - deq.popleft()[1] * pows[len(deq)]) % _MOD
-        self.poly = poly
+    def place(self, a: int, lag: int, window: array) -> None:
+        """Store the state after row a, with its lag and live window.  A
+        full set first loses every anchor off the doubled spacing, and
+        then row a too unless it lies on it."""
+        anchors = self.anchors
+        if len(anchors) >= MAX_ANCHORS:
+            self.spacing = spacing = 2 * self.spacing
+            for row in [row for row in anchors if row % spacing]:
+                del anchors[row]
+            self.keys.clear()
+            for row, kept in anchors.items():
+                self._index(row, *kept)
+            if a % spacing:
+                return
+        anchors[a] = (lag, window)
+        self._index(a, lag, window)
 
-    def snapshot(self, candidate: tuple[int, int] | None = None
-                 ) -> DetectorSnapshot:
+    def _index(self, a: int, lag: int, window: array) -> None:
+        w = self.width
+        key = (tuple(window[-w:]), lag, len(window) // w)
+        rows = self.keys.get(key)
+        if rows is None:
+            self.keys[key] = [a]
+        else:
+            rows.append(a)
+
+    def snapshot(self) -> DetectorSnapshot:
         ring = self.ring
-        start = ring.first + len(ring.lags) - 1 - self.window - self.sigma
-        if candidate is not None:
-            start = min(start, candidate[0])
-        cut = max(0, start - ring.first)
+        cut = max(0, len(ring.offs) // ring.width - ring.maxlen)
         return DetectorSnapshot(
             window=self.window,
             ring_first=ring.first + cut,
             ring=ring.offs[cut * ring.width:],
-            lags=ring.lags[cut:],
-            candidate=candidate,
+            spacing=self.spacing,
+            anchors=tuple((a, lag, window)
+                          for a, (lag, window) in self.anchors.items()),
         )
 
     @classmethod
-    def restore(cls, snap: DetectorSnapshot,
-                gen: GeneratorState) -> "_Detector":
-        """Rebuild the detector; raises :class:`CorruptCheckpointError`
-        when the snapshot disagrees with ``gen``."""
+    def resume(cls, snap: DetectorSnapshot,
+               gen: GeneratorState) -> "_Detector":
+        """The detector of ``snap``, continuing ``gen``; raises
+        :class:`CorruptCheckpointError` when the snapshot cannot be the
+        detector of ``gen``."""
         if snap.window < 4:
             raise CorruptCheckpointError(
                 f"detector window {snap.window} is below 4")
         det = cls(snap.window, gen.params)
-        lo = det._replay(snap, gen.next_k)
-        # The replayed window must be the generator's, from row lo on.
-        if list(det.deq) != [(ones[-1], hash(tuple([j - i for j in ones]))
-                              % _MOD) for i, ones in gen._live if i >= lo]:
+        w = det.width
+        k = gen.rows_emitted
+        first, offs = snap.ring_first, snap.ring
+        if len(offs) % w or first + len(offs) // w != k + 1:
+            raise CorruptCheckpointError(
+                f"detector ring of {len(offs)} offsets from row {first} "
+                f"does not hold {w} offsets per row through the "
+                f"generator's row {k}")
+        det.ring = ring = _Ring(det.ring.maxlen, w, first,
+                                array(offs.typecode, offs))
+        both = max(first, k - len(gen._live) + 1)  # rows ring and live share
+        if list(ring.rows(both, k + 1)) != [j - i for i, ones in gen._live
+                                            if i >= both for j in ones]:
             raise CorruptCheckpointError(
                 "detector ring disagrees with the generator's live rows")
-        det.deq.clear()
-        det.poly = 0
-        for i, ones in gen._live:
-            det.push_row(ones[-1], tuple([j - i for j in ones]), 0)
+        det.spacing = spacing = snap.spacing
+        if spacing < SPACING or spacing & (spacing - 1) or \
+                len(snap.anchors) > MAX_ANCHORS:
+            raise CorruptCheckpointError(
+                f"{len(snap.anchors)} anchors at spacing {spacing}: not "
+                f"{MAX_ANCHORS} at most, at a power of two from {SPACING}")
+        last = 0
+        for a, lag, window in snap.anchors:
+            if not last < a <= k:
+                raise CorruptCheckpointError(
+                    f"anchor rows must rise to row {k} at most; row {a} "
+                    f"follows row {last}")
+            rows, rest = divmod(len(window), w)
+            if rest or not 1 <= rows <= min(a, det.sigma):
+                raise CorruptCheckpointError(
+                    f"anchor at row {a} holds {len(window)} offsets, not "
+                    f"1 to {min(a, det.sigma)} rows of {w}")
+            det.anchors[a] = (lag, window)
+            det._index(a, lag, window)
+            last = a
         return det
 
-    def _replay(self, snap: DetectorSnapshot, end: int) -> int:
-        """Rebuild ring, window and table from ``snap``; returns the
-        first replayed row."""
-        first, offs, lags = snap.ring_first, snap.ring, snap.lags
-        w = self.ring.width
-        if len(offs) != len(lags) * w or first + len(lags) != end:
-            raise CorruptCheckpointError(
-                f"detector ring of {len(offs)} offsets and {len(lags)} "
-                f"lags from row {first} does not hold {w} offsets per row "
-                f"through the generator's row {end - 1}")
-        if snap.candidate is not None:
-            k0, p = snap.candidate
-            if not (first <= k0 and 1 <= p <= self.window and k0 + p <= end):
-                raise CorruptCheckpointError(
-                    f"candidate ({k0}, {p}) lies outside the detector ring")
-        self.ring = _Ring(self.ring.maxlen, w, first,
-                          array(offs.typecode, offs),
-                          array(lags.typecode, lags))
-        sigma = self.sigma
-        lo = max(first, end - 1 - self.window - sigma)
-        # A state's live window lies within sigma rows before it, so it is
-        # complete once sigma rows have been replayed (or from row 1).
-        rec = max(end - self.window + 1, lo + sigma if lo > 1 else 2)
-        push_row = self.push_row
-        record = self.table.record
-        deq = self.deq
-        self.table.reserve(end + 1 - rec)
-        flat = islice(offs, (lo - first) * w, None)
-        for i, enc, lag in zip(range(lo, end), zip(*[flat] * w),
-                               islice(lags, lo - first, None)):
-            k = i + 1
-            l = k - lag
-            push_row(i + enc[-1], enc, l)
-            if k >= rec:
-                record(k, self.poly, len(deq), lag)
-        return lo
+
+def anchors_from_ring(n: int, first: int, ring: array, lags: array,
+                      keep: int | None = None
+                      ) -> tuple[int, tuple[Anchor, ...]]:
+    """The spacing and anchors of a detector whose ring holds rows
+    ``first`` onwards, with ``lags[t]`` the lag of the state after row
+    ``first + t``: the format-2 detector record, which stored no live
+    counts.
+
+    A row j is live after row a when some row up to j reaches column
+    l(a) = a + 1 - lag: rows leave the live window only from its front,
+    and only once their last one falls left of the frontier.  So the
+    first live row is found in the running maximum of the rows' last
+    columns.  That maximum omits the rows before ``first``; a live window
+    spans fewer than sigma rows (the length bound of
+    :func:`defining_matrix`), so it is exact for every state after row
+    ``first + sigma - 2``, or from row 1 when the ring starts there.  The
+    anchors are those states on the spacing grid, thinned as a run thins
+    them, plus the state after row ``keep`` (a format-2 candidate's k0 - 1)
+    when the ring holds its live window.
+    """
+    params = Params.for_order(n)
+    w = n + 1
+    det = _Detector(4, params)
+    det.ring = _Ring(len(lags), w, first, ring)
+    reach = list(accumulate(map(add, range(first, first + len(lags)),
+                                ring[w - 1::w]), max))
+    lo = first if first == 1 else first + params.sigma - 1
+    last = first + len(lags) - 1
+    rows = set(range(-(-lo // SPACING) * SPACING, last + 1, SPACING))
+    if keep is not None and lo <= keep <= last:
+        rows.add(keep)
+    for a in sorted(rows):
+        if a % det.spacing and a != keep:
+            continue
+        lag = lags[a - first]
+        start = first + bisect_left(reach, a + 1 - lag)
+        if start <= a and (start > first or first == 1):
+            det.place(a, lag, det.ring.rows(start, a + 1))
+    return det.spacing, tuple((a, lag, window)
+                              for a, (lag, window) in det.anchors.items())
+
+
+def anchor_state(n: int, anchor: Anchor) -> GeneratorState:
+    """The generator after the anchor's row, rebuilt from its state."""
+    a, lag, window = anchor
+    w = n + 1
+    top = a - len(window) // w + 1
+    return GeneratorState.from_snapshot(
+        n=n, next_k=a + 1, frontier_l=a + 1 - lag, rows_emitted=a,
+        live_rows=[(i, tuple([o + i for o in window[(i - top) * w:
+                                                     (i - top + 1) * w]]))
+                   for i in range(top, a + 1)])
 
 
 def _proper_divisors(p: int) -> list[int]:
@@ -599,22 +543,22 @@ def detect_period(n: int, max_rows: int, *, window: int | None = None,
     :class:`BudgetExhaustedError` carrying a :class:`ResumeState`.
     ``on_row(k, ones)`` is invoked for every detection-cursor row.
 
-    ``window`` is a fresh run's recurrence window (None: the default);
-    a resumed run keeps its snapshot's window and refuses another one.
+    ``window`` sets a fresh run's ring: the last ``window + sigma + 1``
+    rows (None: the default window), from which pp and the period's rows
+    are read without regenerating.  It does not bound the period.  A
+    resumed run keeps its snapshot's window and refuses another one.
 
     ``cadence`` is checked between rows.  Its save hook gets a
     :class:`ResumeState` (its own copy of the generator), and detection
-    goes on with the same detector; so a run rebuilds a detector from a
-    snapshot only when it resumes.  No save falls at the budget row,
+    goes on with the same detector.  No save falls at the budget row,
     whose state the error carries.
 
-    The result is exact: row-shift identities are checked bit-for-bit
-    over p + sigma consecutive rows, p is minimal among all divisors,
-    and pp is the last row before k0 where the identity fails.  pp is
-    read from the detector's ring; a second cursor regenerates rows from
-    row 1 only when the ring starts after that row (after a resume
-    mid-verification, whose ring starts at k0).  The verified period's
-    rows, also read from the ring, go into ``offsets``.
+    The result is exact: a period is confirmed by two equal states (see
+    the module docstring), p is minimal among all its divisors, and pp
+    is the last row where the row-shift identity fails.  pp is read from
+    the detector's ring; a second cursor regenerates rows from row 1
+    only when the ring starts after that row.  The period's rows, read
+    from the ring or regenerated from the anchor, go into ``offsets``.
     """
     if max_rows < 1:
         raise InvalidParameterError(f"max_rows must be >= 1, got {max_rows}")
@@ -622,7 +566,6 @@ def detect_period(n: int, max_rows: int, *, window: int | None = None,
         raise InvalidParameterError(f"window must be >= 4, got {window}")
     if cadence is None:
         cadence = Cadence()
-    candidate = None  # (k0, p) in verification; the ring is pinned at k0
     if resume is None:
         gen = new_generator(n)
         det = _Detector(window or DEFAULT_WINDOW, gen.params)
@@ -634,90 +577,104 @@ def detect_period(n: int, max_rows: int, *, window: int | None = None,
         gen = resume.generator.clone()
         if gen.params is None or gen.params.n != n:
             raise InvalidParameterError("resume state is for a different order")
-        det = _Detector.restore(resume.detector, gen)
-        candidate = resume.detector.candidate
+        det = _Detector.resume(resume.detector, gen)
         # The detector holds copies: keep no reference to the snapshot,
         # so that it is freed if the caller holds none either.
         resume = None
-    sigma = gen.params.sigma
-    ring = det.ring
-    record, deq = det.table.record, det.deq
+    ring, anchors = det.ring, det.anchors
+    live_rows, sup = gen._live, gen._sup
 
-    def finish(pp: int, p: int, held: _Ring, lo: int, case1: bool
-               ) -> PeriodResult:
-        # Rows lo .. lo + p - 1 of ``held``: one period, from row pp + 1 on.
-        b, lm = _measure(held, lo, lo + p)
-        once = held.rows(lo, lo + p)
-        cut = (pp + 1 - lo) % p * (n + 1)
-        return PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
-                            case1=case1, rows_examined=gen.rows_emitted,
-                            offsets=once[cut:] + once[:cut])
-
-    if candidate is not None:
-        # Continue an interrupted verification; its rows k0 .. last row
-        # are in the ring, or the restore above refused the snapshot.
-        ring.pin = candidate[0]
-    cadence.start(gen.rows_emitted)
+    k = gen.rows_emitted
+    cadence.start(k)
+    get, add = det.keys.get, ring.offs.fromlist
+    spacing = det.spacing
+    due = (k // spacing + 1) * spacing  # the next anchor row
+    half = ring.maxlen >> 1
+    trim_at = k + half
     while True:
-        rows = gen.rows_emitted
-        if rows >= max_rows:
+        # Bookkeeping between rows, then rows up to the next event.
+        if k == due:
+            det.place(k, k + 1 - gen.frontier_l, _window(live_rows, ring))
+            spacing = det.spacing
+            due = (k // spacing + 1) * spacing
+        if k >= trim_at:
+            ring.trim()
+            trim_at = k + half
+        if k >= max_rows:
             raise BudgetExhaustedError(
                 f"no period confirmed within {max_rows} rows",
-                resume=ResumeState(generator=gen,
-                                   detector=det.snapshot(candidate)),
-                rows_examined=rows)
-        if rows >= cadence.next_row:
-            cadence.check(rows, lambda: ResumeState(
-                gen.clone(), det.snapshot(candidate)))
-        k, ones = gen._advance()
-        if on_row is not None:
-            on_row(k, ones)
-        state_k = gen.next_k
-        frontier = gen.frontier_l
-        lag = state_k - frontier
-        enc = [j - k for j in ones]
-        ring.append(enc, lag)
-        det.push_row(ones[-1], tuple(enc), frontier)
-        hit = record(state_k, det.poly, len(deq), lag)
+                resume=ResumeState(generator=gen, detector=det.snapshot()),
+                rows_examined=k)
+        if k >= cadence.next_row:
+            cadence.check(k, lambda: ResumeState(
+                gen.clone(), det.snapshot()))
+        stop = min(due, trim_at, max_rows, cadence.next_row)
+        while k < stop:
+            k, ones = gen._advance()
+            if on_row is not None:
+                on_row(k, ones)
+            enc = [j - k for j in ones]
+            try:
+                add(enc)
+            except OverflowError:
+                ring.append(enc)  # widens the array
+                add = ring.offs.fromlist
+            frontier = gen.frontier_l
+            if frontier not in sup:  # a restart: rows 1 .. k repeat
+                return _finish(gen, ring, 0, k)
+            hit = get((tuple(enc), k + 1 - frontier, len(live_rows)))
+            if hit is not None:
+                now = _window(live_rows, ring)
+                for a in hit:
+                    if anchors[a][1] == now:
+                        return _finish(gen, ring, a, k - a,
+                                       (a, k + 1 - frontier, now))
 
-        # Restart shortcut: the frontier column has no ones at all, so
-        # rows p + 1 .. 2p repeat rows 1 .. p, which the ring holds
-        # unless it starts after row 1.
-        if frontier not in gen._sup:
-            p = state_k - 1
-            if ring.first == 1:
-                once = ring.rows(1, p + 1)
-            else:  # a resumed ring: regenerate rows 1 .. p
-                fresh = new_generator(n)
-                once = array("q")
-                for _ in range(p):
-                    fk, fones = fresh._advance()
-                    once.extend([j - fk for j in fones])
-            encs = _Ring(2 * p, n + 1, offs=once + once)  # lags unused
-            return finish(0, _minimize_p(encs, 0, p), encs, 1, True)
 
-        if candidate is not None:
-            k0, p = candidate
-            if state_k < k0 + 2 * p + sigma:
-                continue
-            candidate = None
-            ring.pin = None
-            # Rows k0 .. k0 + p + sigma - 1 against the rows p later.
-            if ring.rows(k0, k0 + p + sigma) == \
-                    ring.rows(k0 + p, k0 + 2 * p + sigma):
-                p = _minimize_p(ring, k0, p)
-                pp = _pp_from_ring(ring, k0, p)
-                if pp is None:
-                    pp = _minimize_pp(n, k0, p)
-                return finish(pp, p, ring, k0 + 1, False)
-            continue  # fingerprint collision; keep scanning
+def _finish(gen: GeneratorState, ring: _Ring, a: int, p: int,
+            anchor: Anchor | None = None) -> PeriodResult:
+    """The result when rows a + 1 .. a + p of ``gen``'s construction are
+    one period: the anchor's state has returned after p rows, or, with
+    no anchor, the construction restarts after row p (a = 0, pp = 0).
+    The period's rows come from the ring, or, when it does not hold
+    them, from a fresh cursor or the anchor's state."""
+    n, lo = gen.params.n, a + 1
+    if ring.covers(lo):
+        once = ring.rows(lo, lo + p)
+    else:
+        source = new_generator(n) if anchor is None else \
+            anchor_state(n, anchor)
+        flat = []
+        for _ in range(p):
+            k, ones = source._advance()
+            flat.extend([j - k for j in ones])
+        once = narrowest(array("q", flat))
+    held = _Ring(2 * p, n + 1, lo, once + once)
+    p = _minimize_p(held, a, p)
+    pp = 0 if anchor is None else _pp_from_ring(ring, lo, p)
+    if pp is None:
+        pp = _minimize_pp(n, lo, p)
+    # Rows lo .. lo + p - 1 of ``held``: one period, from row pp + 1 on.
+    b, lm = _measure(held, lo, lo + p)
+    once = held.rows(lo, lo + p)
+    cut = (pp + 1 - lo) % p * (n + 1)
+    return PeriodResult(n=n, pp=pp, p=p, b_breadth=b, l_max=lm,
+                        case1=anchor is None, rows_examined=gen.rows_emitted,
+                        offsets=once[cut:] + once[:cut])
 
-        if hit is None:
-            continue
-        if not ring.covers(hit):
-            continue  # too old to verify; a later recurrence will do
-        candidate = (hit, state_k - hit)
-        ring.pin = hit
+
+def _window(live, ring: _Ring | None = None) -> array:
+    """The diagonal offsets of the live rows ``live``, oldest first: a
+    slice of ``ring`` when it holds them, ending at its last row."""
+    if ring is not None:
+        top = ring.first + len(ring.offs) // ring.width - len(live)
+        if top >= ring.first:
+            return ring.rows(top, top + len(live))
+    flat = [j - i for i, ones in live for j in ones]
+    try:
+        return array("b", flat)
+    except OverflowError:
+        return narrowest(array("q", flat))
 
 
 def _pp_from_ring(ring: _Ring, k0: int, p: int) -> int | None:
@@ -738,12 +695,12 @@ def _minimize_pp(n: int, k0: int, p: int) -> int:
     """Largest i < k0 where the row-shift identity fails (0 if none),
     from a fresh cursor: the fallback of :func:`_pp_from_ring`."""
     gen = new_generator(n)
-    recent = _Ring(p, n + 1)  # at least rows k - p .. k - 1; lags unused
+    recent = _Ring(p, n + 1)  # at least rows k - p .. k - 1
     last_fail = 0
     for k in range(1, k0 + p):
         _, ones = gen._advance()
         enc = [j - k for j in ones]
         if k > p and recent.rows(k - p, k - p + 1).tolist() != enc:
             last_fail = k - p
-        recent.append(enc, 0)
+        recent.append(enc)
     return last_fail

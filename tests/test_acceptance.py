@@ -41,6 +41,8 @@ from rectfree import (
     save_checkpoint,
     verify_configuration,
 )
+from rectfree.cli import main
+from rectfree.period import MAX_ANCHORS
 
 
 def as_config(matrix, n) -> Configuration:
@@ -168,6 +170,27 @@ class TestOrderSixBounded:
         with pytest.raises(BudgetExhaustedError) as info2:
             detect_period(6, 1_001_000, resume=loaded.restore_resume())
         assert info2.value.rows_examined == 1_001_000
+
+    @needs_extended
+    def test_million_row_checkpoint_slices(self, tmp_path):
+        """Three checkpointed slices of a 10**6-row order-6 search leave
+        the checkpoint one run leaves, byte for byte, and the detector
+        keeps at most MAX_ANCHORS anchors."""
+        def run(path, budgets, every):
+            for budget in budgets:
+                assert main(["period", "-n", "6", "--max-rows", str(budget),
+                             "--checkpoint", str(path),
+                             "--checkpoint-every-rows", str(every),
+                             "--progress-every", "0"]) == 3
+            return path.read_bytes()
+
+        whole = run(tmp_path / "whole.ckpt", [1_000_000], 1_000_000)
+        assert run(tmp_path / "sliced.ckpt", [333_331, 666_672, 1_000_000],
+                   99_991) == whole
+        snap = load_checkpoint(str(tmp_path / "whole.ckpt")).detector
+        assert len(snap.anchors) <= MAX_ANCHORS
+        assert [a for a, _, _ in snap.anchors] == \
+            list(range(snap.spacing, 1_000_001, snap.spacing))
 
     def test_kill_safety_row_hash(self, tmp_path):
         def command(log, ckpt):

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from _table_oracle import DictTable, packed_entries
 from rectfree import (
     BudgetExhaustedError,
     Checkpoint,
@@ -35,12 +34,13 @@ from rectfree import (
 from rectfree.checkpoint import _enc_packed, _hasher, row_line
 from rectfree.cli import EXIT_IO, main
 from rectfree.generator import format_row_line
-from rectfree.period import _Detector
+from rectfree.period import _Detector, _window
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-# ``period --checkpoint`` files: (n, window, rows, ring width, sha256).
+# Format-2 ``period --checkpoint`` files in ``fixtures/``, as the
+# fingerprint detector wrote them: (n, window, rows, ring width, sha256).
 PERIOD_PINS = [
     # a verification (k0, p) = (55, 16) in flight
     (3, 16, 130, 1,
@@ -53,6 +53,12 @@ PERIOD_PINS = [
     (5, 16, 1200, 1,
      "b609a779313bd4ddeaa82c41bbd37b40c912e216b3fc712c10336623fb1100d7"),
 ]
+
+
+def v2_fixture(n, window, rows):
+    """The path of a format-2 fixture of ``PERIOD_PINS``."""
+    w = "" if window is None else f"-w{window}"
+    return FIXTURES / f"period-n{n}{w}-r{rows}-v2.ckpt"
 
 
 def save_resume(resume, path):
@@ -71,15 +77,21 @@ def period_checkpoint(tmp_path, n, rows, window):
     return path
 
 
-def rewrite_records(path, edit, tail=b""):
-    """Apply ``edit`` to a checkpoint's record list and put ``tail`` after
-    the last record; recompute the checksum."""
-    data = path.read_bytes()
+def records_of(data):
+    """The records of the checkpoint bytes ``data``, as bytearrays."""
     records, pos = [], 8
     while pos < len(data) - 8:
         (length,) = struct.unpack_from("<Q", data, pos)
         records.append(bytearray(data[pos + 8:pos + 8 + length]))
         pos += 8 + length
+    return records
+
+
+def rewrite_records(path, edit, tail=b""):
+    """Apply ``edit`` to a checkpoint's record list and put ``tail`` after
+    the last record; recompute the checksum."""
+    data = path.read_bytes()
+    records = records_of(data)
     edit(records)
     body = data[:8] + b"".join(struct.pack("<Q", len(r)) + bytes(r)
                                for r in records) + tail
@@ -107,6 +119,41 @@ def _candidate_flag_at(detector) -> int:
     return 56 + ring_size + lags_size
 
 
+def _anchors_at(detector) -> int:
+    """Where the anchor spacing sits in a format-3 detector payload:
+    after window, first ring row, row count and the packed ring."""
+    (ring_size,) = struct.unpack_from("<Q", detector, 32)
+    return 40 + ring_size
+
+
+def _anchor_block(detector, block) -> tuple[int, int]:
+    """(position of the first element, element width) of packed anchor
+    block ``block``: 0 rows, 1 lags, 2 live counts, 3 offsets."""
+    pos = _anchors_at(detector) + 16
+    for _ in range(block):
+        (size,) = struct.unpack_from("<Q", detector, pos + 8)
+        pos += 16 + size
+    (width,) = struct.unpack_from("<Q", detector, pos)
+    return pos + 16, width
+
+
+def _pile_live_rows_on_the_first_anchor(detector):
+    """Leave each anchor but the first one live row, and give the first
+    all the others: the offsets block keeps its size."""
+    pos, width = _anchor_block(detector, 2)
+    (count,) = struct.unpack_from("<Q", detector, _anchors_at(detector) + 8)
+    lives = struct.unpack_from(f"<{count}b", detector, pos)
+    assert width == 1 and sum(lives) == 32
+    struct.pack_into(f"<{count}b", detector, pos, sum(lives) - count + 1,
+                     *[1] * (count - 1))
+
+
+def _set_anchor(detector, block, index, value):
+    pos, width = _anchor_block(detector, block)
+    struct.pack_into("<" + {1: "b", 2: "h", 4: "i", 8: "q"}[width],
+                     detector, pos + index * width, value)
+
+
 # Damage the checksum cannot see: (checkpoint kind, edit of the record
 # list, bytes after the last record, message).  Records: 0 core integers,
 # 1 row hash, 2 live rows, 3 column weights, 4 detector tag, 5 detector.
@@ -120,8 +167,8 @@ DAMAGE = [
      "detector payload present without a detector tag"),
     ("period", lambda r: _replace(r[4], b"bogus"), b"",
      "unknown detector tag 'bogus'"),
-    ("period", lambda r: _set_u64(r[5], _candidate_flag_at(r[5]), 2), b"",
-     "candidate flag must be 0 or 1, got 2"),
+    ("period-v2", lambda r: _set_u64(r[5], _candidate_flag_at(r[5]), 2),
+     b"", "candidate flag must be 0 or 1, got 2"),
     ("period", lambda r: _set_u64(r[5], 24, 3), b"",
      "packed element width 3 is not 1, 2, 4 or 8"),
     ("gen", lambda r: r[0].append(0), b"", "1 stray bytes in a record"),
@@ -132,6 +179,26 @@ DAMAGE = [
      "checkpoint state is not reachable"),
     ("gen", lambda r: _bump_u32(r[3], 16), b"",
      "stored column weights disagree with the live rows"),
+    # The anchors of the checkpoint of ``period -n 3 --max-rows 70``:
+    # rows 16, 32, 48 and 64 at spacing 16.
+    ("period", lambda r: _set_u64(r[5], _anchors_at(r[5]), 24), b"",
+     "4 anchors at spacing 24: not 1024 at most, at a power of two"),
+    ("period", lambda r: _set_u64(r[5], _anchors_at(r[5]), 8), b"",
+     "4 anchors at spacing 8: not 1024 at most, at a power of two"),
+    ("period", lambda r: _set_anchor(r[5], 0, 2, 16), b"",
+     "anchor rows must rise to row 70 at most; row 16 follows row 32"),
+    ("period", lambda r: _set_anchor(r[5], 0, 3, 80), b"",
+     "anchor rows must rise to row 70 at most; row 80 follows row 48"),
+    ("period", lambda r: _set_anchor(r[5], 0, 0, 0), b"",
+     "anchor rows must rise to row 70 at most; row 0 follows row 0"),
+    ("period", lambda r: _pile_live_rows_on_the_first_anchor(r[5]), b"",
+     "anchor at row 16 holds 116 offsets, not 1 to 16 rows of 4"),
+    ("period", lambda r: _set_anchor(r[5], 2, 1, 0), b"",
+     "an anchor holds no live row"),
+    ("period", lambda r: _set_u64(r[5], _anchors_at(r[5]) + 8, 5), b"",
+     "packed block holds"),
+    ("period", lambda r: _set_u64(r[5], _anchors_at(r[5]) + 8, 1025), b"",
+     "packed block holds"),
 ]
 
 
@@ -287,8 +354,8 @@ class TestDetectorCheckpoint:
         assert (result.pp, result.p) == (48, 16)
 
     @pytest.mark.parametrize("n, window, stops", [
-        (3, 16, range(5, 140, 9)),
-        (3, 64, (30, 70, 110, 139)),
+        (3, 16, range(5, 80, 7)),
+        (3, 64, (30, 63, 64, 65, 79)),  # anchor 64 returns at row 80
         (4, 16, (3, 9, 20)),
         (5, 16, (50, 300, 301, 1200)),
         (5, 512, (700, 2000)),
@@ -298,17 +365,13 @@ class TestDetectorCheckpoint:
     ])
     def test_restored_table_equals_uninterrupted(self, tmp_path, n, window,
                                                  stops):
-        """The table rebuilt at load is, entry for entry, the table of a
-        detector that saw every row without a break (n = 16 ends in the
-        restart shortcut at row 273).  The reference is fed row by row
-        through ``push_row`` and ``table.record``, as ``detect_period``
-        feeds its live detector.  The packed tables differ in slot order and
-        key ring base, so both are read back as the key -> row map and
-        the keys of the last ``window`` states, and checked against the
-        dict table they replaced, fed the same keys."""
+        """The anchors and keys rebuilt at load are, entry for entry, those
+        of a detector that saw every row without a break (n = 16 ends in
+        the restart shortcut at row 273), and the ring holds the same
+        rows.  The reference is fed row by row as ``detect_period`` feeds
+        its live detector."""
         gen = new_generator(n)
         ref = _Detector(window, gen.params)
-        oracle = DictTable(window)
         resume = None
         path = tmp_path / "slice.ckpt"
         for stop in stops:
@@ -318,46 +381,83 @@ class TestDetectorCheckpoint:
             resume = load_checkpoint(str(path)).restore_resume()
             while gen.rows_emitted < stop:
                 k, ones = gen._advance()
-                ref.push_row(ones[-1], tuple([j - k for j in ones]),
-                             gen.frontier_l)
-                key = (ref.poly, len(ref.deq), gen.next_k - gen.frontier_l)
-                oracle.record(gen.next_k, *key)
-                ref.table.record(gen.next_k, *key)
-            det = _Detector.restore(resume.detector, resume.generator)
-            newest = gen.next_k
-            assert packed_entries(det.table, newest) == \
-                packed_entries(ref.table, newest) == \
-                (oracle.table, oracle.ages), stop
-            assert (det.poly, det.deq) == (ref.poly, ref.deq), stop
+                ref.ring.append([j - k for j in ones])
+                if k % ref.spacing == 0:
+                    ref.place(k, k + 1 - gen.frontier_l, _window(gen._live))
+            det = _Detector.resume(resume.detector, resume.generator)
+            assert (det.spacing, det.anchors, det.keys) == \
+                (ref.spacing, ref.anchors, ref.keys), stop
+            assert det.ring.first >= ref.ring.first
+            assert det.ring.offs == ref.ring.rows(det.ring.first, stop + 1)
+            assert len(det.ring.offs) == (n + 1) * min(
+                stop, window + gen.params.sigma + 1)
 
     def test_ring_is_packed_and_table_not_stored(self, tmp_path):
-        # Order 6: offsets and lags fit in one signed byte, so a ring row
-        # costs n + 2 bytes; live rows and headers take under 4 KB.
+        # Order 6: offsets fit in one signed byte, so a ring row costs
+        # n + 1 bytes and an anchor one byte per offset plus one byte
+        # each for its lag and live count and two for its row; live rows
+        # and headers take under 4 KB.
         path = period_checkpoint(tmp_path, 6, 3000, 1 << 17)
         loaded = load_checkpoint(str(path))
-        assert loaded.format_version == 2
-        assert len(loaded.detector.ring) == 7 * len(loaded.detector.lags) \
-            == 7 * 3000
-        assert path.stat().st_size < 3000 * (7 + 1) + 4096
+        assert loaded.format_version == 3
+        snap = loaded.detector
+        assert len(snap.ring) == 7 * 3000
+        assert [a for a, _, _ in snap.anchors] == list(range(16, 3001, 16))
+        offsets = sum(len(window) for _, _, window in snap.anchors)
+        assert path.stat().st_size < \
+            3000 * 7 + offsets + 4 * len(snap.anchors) + 4096
 
     @pytest.mark.parametrize("n, window, rows, width, sha", PERIOD_PINS)
     def test_period_checkpoint_bytes_are_pinned(self, tmp_path, capsys, n,
                                                 window, rows, width, sha):
-        """``period`` writes format 2 byte for byte as it did when the
-        ring was a list of per-row tuples (the digests were taken then):
-        packing the ring in memory does not touch the file."""
-        path = tmp_path / "pin.ckpt"
-        argv = ["period", "-n", str(n), "--max-rows", str(rows),
-                "--checkpoint", str(path), "--progress-every", "0"]
-        if window is not None:
-            argv += ["--window", str(window)]
-        assert main(argv) == 3
-        data = path.read_bytes()
+        """Each format-2 fixture holds the bytes the fingerprint detector
+        wrote, and resumes under format 3.  Its anchors are states of the
+        construction, and a run from it reaches what a fresh run
+        reaches: the result for n = 3 and 16, and the same generator and
+        ring for n = 5 and 6.  At n = 6 the ring starts at row 1, so the
+        anchors, and the checkpoint saved after the resume, equal a
+        fresh run's."""
+        fixture = v2_fixture(n, window, rows)
+        data = fixture.read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha
-        snap = load_checkpoint(str(path)).detector
+        detector = records_of(data)[5]
+        in_flight = struct.unpack_from(
+            "<QQQ", detector, _candidate_flag_at(detector)) if n == 3 else ()
+        assert in_flight == ((1, 55, 16) if n == 3 else ())
+        loaded = load_checkpoint(str(fixture))
+        assert loaded.format_version == 2
+        snap = loaded.detector
         assert snap.ring.itemsize == width
-        assert (snap.candidate is not None) == (n == 3)
-        assert len(snap.lags) == {3: 76, 5: 257}.get(n, rows)
+        gen, states = new_generator(n), {}
+        while gen.rows_emitted < rows:
+            k, _ = gen._advance()
+            states[k] = (k, k + 1 - gen.frontier_l, _window(gen._live))
+        assert snap.anchors
+        assert all(anchor == states[anchor[0]] for anchor in snap.anchors)
+        if n in (6, 16):
+            with pytest.raises(BudgetExhaustedError) as info:
+                detect_period(n, rows, window=window)
+            assert snap.anchors == info.value.resume.detector.anchors
+        if n in (3, 16):
+            res = detect_period(n, 10_000, resume=loaded.restore_resume())
+            want = detect_period(n, 10_000)
+            assert res == dataclasses.replace(
+                want, rows_examined=res.rows_examined)
+            assert list(res.offsets) == list(want.offsets)
+            return
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(n, rows + 500, resume=loaded.restore_resume())
+        resumed = tmp_path / "resumed.ckpt"
+        save_resume(info.value.resume, resumed)
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(n, rows + 500, window=window)
+        whole = tmp_path / "whole.ckpt"
+        save_resume(info.value.resume, whole)
+        a, b = load_checkpoint(str(resumed)), load_checkpoint(str(whole))
+        assert dataclasses.replace(a, detector=None) == \
+            dataclasses.replace(b, detector=None)
+        assert a.detector.ring == b.detector.ring
+        assert (resumed.read_bytes() == whole.read_bytes()) == (n == 6)
 
     @pytest.mark.parametrize("n, window, rows, width, sha", PERIOD_PINS)
     def test_pinned_bytes_without_the_builtin_hash(
@@ -379,21 +479,22 @@ class TestDetectorCheckpoint:
         path = period_checkpoint(tmp_path, 6, 3000, 1 << 17)
         cp = load_checkpoint(str(path))
         snap = cp.detector
-        assert snap.ring.itemsize == snap.lags.itemsize == 1
+        assert snap.ring.itemsize == snap.anchors[0][2].itemsize == 1
         wide = dataclasses.replace(cp, detector=dataclasses.replace(
-            snap, ring=array("q", snap.ring), lags=array("i", snap.lags)))
+            snap, ring=array("q", snap.ring),
+            anchors=tuple((a, lag, array("i", window))
+                          for a, lag, window in snap.anchors)))
         again = tmp_path / "wide.ckpt"
         save_checkpoint(wide, str(again))
         assert again.read_bytes() == path.read_bytes()
 
     def test_save_copies_no_detector_array(self, tmp_path):
-        """The ring and lags go to the file from the snapshot's own
-        arrays: saving allocates far less than they hold."""
-        cp = load_checkpoint(str(period_checkpoint(tmp_path, 3, 100, 16)))
+        """The ring goes to the file from the snapshot's own array:
+        saving allocates far less than it holds."""
+        cp = load_checkpoint(str(period_checkpoint(tmp_path, 3, 70, 16)))
         rows = 250_000  # 1 MB of ring offsets, one byte each
         big = dataclasses.replace(cp, detector=dataclasses.replace(
-            cp.detector, ring=array("b", bytes(4 * rows)),
-            lags=array("b", bytes(rows)), candidate=None))
+            cp.detector, ring=array("b", bytes(4 * rows))))
         path = tmp_path / "big.ckpt"
         tracemalloc.start()
         try:
@@ -401,21 +502,18 @@ class TestDetectorCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size == path.stat().st_size > 5 * rows
-        assert peak < 5 * rows // 4
-        back = load_checkpoint(str(path)).detector
-        assert (back.ring, back.lags) == (big.detector.ring,
-                                          big.detector.lags)
+        assert size == path.stat().st_size > 4 * rows
+        assert peak < rows
+        assert load_checkpoint(str(path)).detector == big.detector
 
     def test_load_copies_no_record(self, tmp_path):
         """Records are parsed from views of the file's bytes: loading
         peaks near the file plus the arrays it returns, and keeps no view
         of the file."""
-        cp = load_checkpoint(str(period_checkpoint(tmp_path, 3, 100, 16)))
+        cp = load_checkpoint(str(period_checkpoint(tmp_path, 3, 70, 16)))
         rows = 250_000  # 1 MB of ring offsets, one byte each
         big = dataclasses.replace(cp, detector=dataclasses.replace(
-            cp.detector, ring=array("b", range(-50, 50)) * (4 * rows // 100),
-            lags=array("b", bytes(rows)), candidate=None))
+            cp.detector, ring=array("b", range(-50, 50)) * (4 * rows // 100)))
         path = tmp_path / "big.ckpt"
         size = save_checkpoint(big, str(path))
         tracemalloc.start()
@@ -444,38 +542,37 @@ class TestDetectorCheckpoint:
     def test_version1_file_resumes(self, tmp_path):
         # Written by format version 1 (order 3, window 16, 100 rows, a
         # verification in flight).  It holds no lags, so it decodes to an
-        # empty ring and table and no candidate in flight, which can only
-        # delay detection.
+        # empty ring and no anchors, which can only delay detection: the
+        # first anchor is at row 112, and it returns at row 128.
         loaded = load_checkpoint(str(FIXTURES / "period-n3-w16-v1.ckpt"))
         assert loaded.format_version == 1
         snap = loaded.detector
         assert (snap.window, snap.ring_first) == (16, loaded.next_k)
-        assert len(snap.ring) == len(snap.lags) == 0
-        assert snap.candidate is None
+        assert len(snap.ring) == 0 and snap.anchors == ()
         result = detect_period(3, 1000, window=16,
                                resume=loaded.restore_resume())
-        assert (result.pp, result.p, result.rows_examined) == (48, 16, 187)
-        # A budget exhausted after the resume is saved as version 2.
+        assert (result.pp, result.p, result.rows_examined) == (48, 16, 128)
+        # A budget exhausted after the resume is saved as version 3.
         with pytest.raises(BudgetExhaustedError) as info:
             detect_period(3, 120, window=16, resume=loaded.restore_resume())
         path = tmp_path / "again.ckpt"
         save_resume(info.value.resume, path)
-        assert path.read_bytes()[6:8] == (2).to_bytes(2, "little")
+        assert path.read_bytes()[6:8] == (3).to_bytes(2, "little")
         result = detect_period(
             3, 1000, window=16,
             resume=load_checkpoint(str(path)).restore_resume())
-        assert (result.pp, result.p) == (48, 16)
+        assert (result.pp, result.p, result.rows_examined) == (48, 16, 128)
 
-    def test_version1_file_saves_as_version2(self, tmp_path):
-        path = tmp_path / "v2.ckpt"
+    def test_version1_file_saves_as_version3(self, tmp_path):
+        path = tmp_path / "v3.ckpt"
         save_checkpoint(
             load_checkpoint(str(FIXTURES / "period-n3-w16-v1.ckpt")),
             str(path))
         loaded = load_checkpoint(str(path))
-        assert loaded.format_version == 2
+        assert loaded.format_version == 3
         result = detect_period(3, 1000, window=16,
                                resume=loaded.restore_resume())
-        assert (result.pp, result.p, result.rows_examined) == (48, 16, 187)
+        assert (result.pp, result.p, result.rows_examined) == (48, 16, 128)
 
     def test_restore_resume_needs_detector(self, saved):
         checkpoint, _, _ = saved
@@ -530,7 +627,7 @@ class TestCorruptionDefense:
             load_checkpoint(str(bad))
 
     def test_ring_blob_disagreeing_with_row_count_rejected(self, tmp_path):
-        path = period_checkpoint(tmp_path, 3, 100, 16)
+        path = period_checkpoint(tmp_path, 3, 70, 16)
 
         def drop_a_row(records):
             detector = records[5]
@@ -551,11 +648,18 @@ class TestCorruptionDefense:
             argv = ["gen", "-n", "3", "--rows", "800", "--out",
                     str(tmp_path / "more.rows")]
         else:
-            path = period_checkpoint(tmp_path, 3, 130, 16)
+            if kind == "period":
+                path = period_checkpoint(tmp_path, 3, 70, 16)
+            else:
+                path = tmp_path / "v2.ckpt"
+                path.write_bytes(v2_fixture(3, 16, 130).read_bytes())
             argv = ["period", "-n", "3", "--window", "16"]
         rewrite_records(path, edit, tail)
         with pytest.raises(CorruptCheckpointError, match=match):
-            load_checkpoint(str(path)).restore_generator()
+            cp = load_checkpoint(str(path))
+            cp.restore_generator()
+            if cp.detector is not None:
+                detect_period(3, 1000, resume=cp.restore_resume())
         assert main(argv + ["--checkpoint", str(path),
                             "--progress-every", "0"]) == EXIT_IO
         err = capsys.readouterr().err
@@ -563,12 +667,13 @@ class TestCorruptionDefense:
         assert match in err
 
     @pytest.mark.parametrize("field, value, match", [
-        ("lags", None, "without lags"),
+        ("anchors", ((16, 3, array("b")),), "must hold 4 offsets"),
         ("ring", array("b", [0]), "must hold 4 offsets"),
+        ("anchors", ((16, 3, array("b", [0] * 5)),), "must hold 4 offsets"),
     ])
     def test_encode_refuses_a_malformed_snapshot(self, tmp_path, field,
                                                  value, match):
-        good = load_checkpoint(str(period_checkpoint(tmp_path, 3, 130, 16)))
+        good = load_checkpoint(str(period_checkpoint(tmp_path, 3, 70, 16)))
         bad = dataclasses.replace(good, detector=dataclasses.replace(
             good.detector, **{field: value}))
         target = tmp_path / "never.ckpt"

@@ -8,6 +8,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -22,6 +23,7 @@ from rectfree import (GeneratorState, IncidenceMatrix, InvalidParameterError,
                       InvariantViolationError, generate_prefix,
                       load_checkpoint, log_prefix_hash, save_checkpoint)
 from rectfree import cli, period
+from rectfree.generator import row_line
 from rectfree.period import _Detector
 from rectfree.cli import (
     EXIT_BUDGET,
@@ -52,7 +54,7 @@ n=3 pp=48 p=16
 band breadth b: 4
 longest row span l_max: 9
 empty-frontier shortcut: no
-rows examined: 140
+rows examined: 80
 minimal fold multiplier m: 2 (folded size 32)
 """
 
@@ -240,6 +242,31 @@ class TestGen:
             f"rows: 9\nrow log: {os.devnull}\ncheckpoint: {ckpt[1]}\n")
 
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_out_to_a_fifo_is_written_as_stdout(self, tmp_path, capsys):
+        # A FIFO cannot seek, so a read-write open of it used to exit 5.
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(
+            fifo.read_bytes()))
+        reader.start()
+        try:
+            code = main(["gen", "-n", "2", "--rows", "9", "--out", str(fifo),
+                         "--checkpoint", str(tmp_path / "f.ckpt"),
+                         "--progress-every", "0"])
+        finally:
+            try:  # a reader still waiting for a writer sees end of file
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is left
+                pass
+            reader.join(timeout=30)
+        assert code == EXIT_OK
+        assert got == [b"".join(row_line(r.index, r.ones)
+                                for r in generate_prefix(2, 9))]
+        assert capsys.readouterr().out == \
+            f"rows: 9\nrow log: {fifo}\ncheckpoint: {tmp_path / 'f.ckpt'}\n"
+
 class TestPeriod:
     def test_order2_report(self, capsys):
         assert main(["period", "-n", "2", "--progress-every", "0"]) == EXIT_OK
@@ -289,7 +316,7 @@ class TestPeriod:
         assert main(base + ["--max-rows", "1000"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("n=3 pp=48 p=16\n")
-        assert "rows examined: 140" in out
+        assert "rows examined: 80" in out
 
     def test_sliced_run_prints_what_an_unsliced_run_prints(self, tmp_path,
                                                           capsys):
@@ -307,48 +334,50 @@ class TestPeriod:
 
     def test_sliced_across_calls_prints_what_an_unsliced_run_prints(
             self, tmp_path, capsys):
-        # Each call resumes from the file, raising --max-rows by 10, so
-        # the detector is rebuilt from the ring at every call, often in
-        # the middle of the 86-row verification of p = 16.
+        # Each call resumes from the file, raising --max-rows by 3, so the
+        # detector is rebuilt from the file at every call, five times
+        # between the anchor at row 64 and its return at row 80.
         base = ["period", "-n", "3", "--window", "16",
                 "--progress-every", "0"]
         assert main(base + ["--max-rows", "5000"]) == EXIT_OK
         whole = capsys.readouterr().out
         ckpt = tmp_path / "p3.ckpt"
         in_flight = 0
-        for budget in range(10, 5000, 10):
+        for budget in range(3, 5000, 3):
             code = main(base + ["--max-rows", str(budget),
                                 "--checkpoint", str(ckpt)])
             if code == EXIT_OK:
                 break
             assert code == EXIT_BUDGET
             capsys.readouterr()
-            in_flight += load_checkpoint(str(ckpt)).detector.candidate \
-                is not None
+            # An anchor past pp = 48 whose return, p = 16 rows on, is
+            # still to come.
+            in_flight += any(48 < a < budget < a + 16 for a, _, _ in
+                             load_checkpoint(str(ckpt)).detector.anchors)
         assert capsys.readouterr().out == whole
-        assert in_flight >= 3
+        assert in_flight == 5
 
     def test_version1_checkpoint_resumes(self, tmp_path, capsys):
-        # Format 1 resumes with an empty ring, so the verification that was
-        # in flight starts again and confirms later than at row 140.
+        # Format 1 resumes with an empty ring and no anchors, so the
+        # first anchor is at row 112 and returns at row 128, not 80.
         ckpt = tmp_path / "v1.ckpt"
         ckpt.write_bytes((Path(__file__).parent / "fixtures"
                           / "period-n3-w16-v1.ckpt").read_bytes())
         assert main(["period", "-n", "3", "--checkpoint", str(ckpt),
                      "--progress-every", "0"]) == EXIT_OK
         assert capsys.readouterr().out == PERIOD3_REPORT.replace(
-            "rows examined: 140", "rows examined: 187")
+            "rows examined: 80", "rows examined: 128")
 
     def test_restore_runs_only_when_resuming(self, tmp_path, capsys,
                                              monkeypatch):
         restores = []
-        original = _Detector.restore
+        original = _Detector.resume
 
         def counting(cls, snap, gen):
             restores.append(gen.rows_emitted)
             return original(snap, gen)
 
-        monkeypatch.setattr(_Detector, "restore", classmethod(counting))
+        monkeypatch.setattr(_Detector, "resume", classmethod(counting))
         base = ["period", "-n", "3", "--window", "16", "--checkpoint",
                 str(tmp_path / "p3.ckpt"), "--checkpoint-every-rows", "7",
                 "--progress-every", "0"]
@@ -391,7 +420,7 @@ class TestPeriod:
         assert alive == [False] * 5
 
     @pytest.mark.parametrize("n, window, rows, cadences", [
-        (3, 16, 100, (7, 1000)), (6, 1 << 17, 3000, (997,))])
+        (3, 16, 79, (7, 1000)), (6, 1 << 17, 3000, (997,))])
     def test_final_checkpoint_does_not_depend_on_the_cadence(
             self, tmp_path, capsys, n, window, rows, cadences):
         def final_bytes(name, budgets, extra=()):
@@ -412,6 +441,30 @@ class TestPeriod:
                                ["--checkpoint-every-rows", str(every)]) \
                 == whole
 
+    def test_slices_between_an_anchor_and_its_return(self, tmp_path,
+                                                     capsys):
+        # The anchor at row 64 returns at row 80.  A cut at any row in
+        # between leaves the checkpoint at row 79 byte for byte as one
+        # run leaves it, and the resumed run prints the same report.
+        base = ["period", "-n", "3", "--window", "16",
+                "--progress-every", "0", "--checkpoint"]
+        whole = tmp_path / "whole.ckpt"
+        assert main(base + [str(whole), "--max-rows", "79"]) == EXIT_BUDGET
+        for cut in range(64, 80):
+            ckpt = tmp_path / f"cut{cut}.ckpt"
+            for budget in (cut, 79):
+                assert main(base + [str(ckpt), "--max-rows", str(budget)]) \
+                    == EXIT_BUDGET
+            assert ckpt.read_bytes() == whole.read_bytes(), cut
+            capsys.readouterr()
+            assert main(base + [str(ckpt)]) == EXIT_OK
+            assert capsys.readouterr().out == PERIOD3_REPORT
+
+    def test_a_window_below_the_period_prints_the_period(self, capsys):
+        assert main(["period", "-n", "3", "--window", "8",
+                     "--progress-every", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == PERIOD3_REPORT
+
     def test_row_and_seconds_cadences_are_honoured(self, tmp_path, capsys,
                                                    monkeypatch):
         saved = []
@@ -422,17 +475,17 @@ class TestPeriod:
             return original(checkpoint, path)
 
         monkeypatch.setattr(cli, "save_checkpoint", counting)
-        base = ["period", "-n", "3", "--max-rows", "100", "--checkpoint",
+        base = ["period", "-n", "3", "--max-rows", "70", "--checkpoint",
                 str(tmp_path / "p3.ckpt"), "--progress-every", "0"]
         assert main(base + ["--checkpoint-every-rows", "30"]) == EXIT_BUDGET
-        assert saved == [30, 60, 90, 100]
+        assert saved == [30, 60, 70]
         (tmp_path / "p3.ckpt").unlink()
         saved.clear()
         assert main(base + ["--checkpoint-every-rows", "1000000",
                             "--checkpoint-every-seconds", "1e-9"]) \
             == EXIT_BUDGET
-        assert saved == list(range(1, 101))
-        assert "budget exhausted after 100 rows" in capsys.readouterr().out
+        assert saved == list(range(1, 71))
+        assert "budget exhausted after 70 rows" in capsys.readouterr().out
 
     def test_ring_disagreeing_with_the_generator_is_io_error(self, tmp_path,
                                                              capsys):
@@ -483,18 +536,14 @@ class TestPeriod:
             == EXIT_BUDGET
         before = ckpt.read_bytes()
         capsys.readouterr()
-        # A fresh run with window 4 can never see p = 16 ...
-        assert main(["period", "-n", "3", "--window", "4", "--max-rows",
-                     "1000", "--progress-every", "0"]) == EXIT_BUDGET
-        capsys.readouterr()
-        # ... so a resume may not claim window 4 for a window-16 state.
+        # A resume may not claim window 4 for a window-16 state.
         assert main(base + ["--window", "4", "--max-rows", "1000"]) \
             == EXIT_USAGE
         err = capsys.readouterr().err
         assert "--window 4" in err and "window 16" in err
         assert ckpt.read_bytes() == before
         # Without --window, or with the same one, the resume uses 16.
-        assert main(base + ["--window", "16", "--max-rows", "100"]) \
+        assert main(base + ["--window", "16", "--max-rows", "70"]) \
             == EXIT_BUDGET
         capsys.readouterr()
         assert main(base + ["--max-rows", "1000"]) == EXIT_OK
@@ -1071,12 +1120,12 @@ class TestTracedHarness:
         return plain, traced, json.loads(trace.read_text())
 
     def test_traced_period_run_matches_the_untraced_one(self, tmp_path):
-        argv = ["period", "-n", "3", "--window", "16", "--max-rows", "100"]
+        argv = ["period", "-n", "3", "--window", "16", "--max-rows", "70"]
         plain, _, record = self.run_both(tmp_path, argv)
         assert plain.returncode == EXIT_BUDGET, plain.stderr
         assert record["missing"] == []
         spans = [s for s in record["spans"] if s["name"] == "detect_period"]
-        assert [s["rows"] for s in spans] == [100]
+        assert [s["rows"] for s in spans] == [70]
 
     def test_traced_fold_and_verify_runs_match_the_untraced_ones(
             self, tmp_path):

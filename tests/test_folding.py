@@ -1,6 +1,7 @@
 """Wrapping the periodic tail into finite square matrices."""
 import dataclasses
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from rectfree import (
     fold,
     generate_prefix,
     hypothesis_status,
+    load_checkpoint,
     regenerate_rows,
 )
 from rectfree import period as period_module
@@ -352,7 +354,7 @@ class TestOffsetsAfterAResume:
         cut = 2  # the ring now starts at row 3
         trimmed = dataclasses.replace(
             snap, ring_first=snap.ring_first + cut,
-            ring=snap.ring[cut * (n + 1):], lags=snap.lags[cut:])
+            ring=snap.ring[cut * (n + 1):])
         res = detect_period(n, 10_000, resume=ResumeState(
             resume.generator, trimmed))
         fresh = detect_period(n, 10_000)
@@ -362,18 +364,20 @@ class TestOffsetsAfterAResume:
 
     def test_resumed_mid_verification_pp_from_the_fresh_pass(
             self, monkeypatch):
-        # The snapshot's ring starts at the candidate's k0 = 55, past the
-        # last mismatch at row 48, so pp comes from _minimize_pp.
-        with pytest.raises(BudgetExhaustedError) as info:
-            detect_period(3, 130, window=16)
-        assert info.value.resume.detector.ring_first == 55
+        # A format-2 checkpoint cut mid-verification of the candidate
+        # (55, 16): its ring starts at k0 = 55, past the last mismatch at
+        # row 48, so pp comes from _minimize_pp when the anchor at row
+        # 112 returns at row 144 (p = 32, shrunk to 16).
+        cp = load_checkpoint(str(Path(__file__).parent / "fixtures"
+                                 / "period-n3-w16-r130-v2.ckpt"))
+        assert cp.detector.ring_first == 55
         calls = []
         minimize_pp = period_module._minimize_pp
         monkeypatch.setattr(period_module, "_minimize_pp",
                             lambda *a: calls.append(a) or minimize_pp(*a))
         res = detect_period(3, 10_000, window=16,
-                            resume=info.value.resume)
-        assert calls == [(3, 55, 16)]
+                            resume=cp.restore_resume())
+        assert calls == [(3, 113, 16)]
         fresh = detect_period(3, 10_000, window=16)
         assert list(res.offsets) == list(fresh.offsets)
         params = FoldParams.for_period(res)

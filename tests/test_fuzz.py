@@ -2,8 +2,9 @@
 exit code, never an internal error or a traceback.
 
 Valid inputs (a row log and its ``gen`` checkpoint, a ``period``
-checkpoint with a verification in flight, and a matrix in both text
-formats) are mutated at the byte level: bytes set, inserted or deleted.
+checkpoint cut between an anchor and its return, the format-2 fixture
+cut in the middle of a fingerprint verification, and a matrix in both
+text formats) are mutated at the byte level: bytes set, inserted or deleted.
 A mutated checkpoint gets a fresh checksum, so that the damage reaches
 the decoder behind it.  Each mutated input then goes through
 :func:`rectfree.cli.main` under the commands that read it.  A mutated
@@ -83,11 +84,14 @@ def valid():
     with tempfile.TemporaryDirectory() as d:
         assert run(gen_argv(d) + ["--rows", "40",
                                   "--checkpoint-every-rows", "15"]) == 0
-        # The budget runs out with candidate (55, 16) in verification.
+        # The budget runs out between the anchor at row 64 and its
+        # return at row 80.
         assert run(period_argv(d) + ["--window", "16",
-                                     "--max-rows", "100"]) == 3
+                                     "--max-rows", "70"]) == 3
         files = {name: Path(d, name).read_bytes()
                  for name in ("g.rows", "g.ckpt", "p.ckpt")}
+    files["p2.ckpt"] = (Path(__file__).parent / "fixtures"
+                        / "period-n3-w16-r130-v2.ckpt").read_bytes()
     fano = IncidenceMatrix.from_rows(FANO)
     files["sparse"] = fano.to_sparse_text().encode("ascii")
     files["p1"] = fano.to_p1().replace("\n", "\n# Fano\n", 1).encode("ascii")
@@ -102,6 +106,11 @@ def resume_period(d) -> None:
     run(period_argv(d) + ["--max-rows", "200"])
 
 
+def resume_period_v2(d) -> None:
+    run(["period", "-n", "3", "--checkpoint", os.path.join(d, "p2.ckpt"),
+         "--max-rows", "200", *QUIET])
+
+
 def read_matrix(d) -> None:
     path = os.path.join(d, "m.txt")
     run(["verify", "-n", "2", "--aut", path])
@@ -113,6 +122,8 @@ TARGETS = {
     "row log": ("g.rows", "g.rows", resume_gen, False),
     "gen checkpoint": ("g.ckpt", "g.ckpt", resume_gen, True),
     "period checkpoint": ("p.ckpt", "p.ckpt", resume_period, True),
+    "format-2 period checkpoint": ("p2.ckpt", "p2.ckpt", resume_period_v2,
+                                   True),
     "sparse matrix": ("sparse", "m.txt", read_matrix, False),
     "P1 matrix": ("p1", "m.txt", read_matrix, False),
 }
@@ -125,7 +136,7 @@ def test_damaged_input_is_an_exit_code(valid, target, edits):
     source, name, command, sealed = TARGETS[target]
     data = valid[source]
     files = {"g.rows": valid["g.rows"], "g.ckpt": valid["g.ckpt"],
-             "p.ckpt": valid["p.ckpt"],
+             "p.ckpt": valid["p.ckpt"], "p2.ckpt": valid["p2.ckpt"],
              name: resealed(data, edits) if sealed else mutate(data, edits)}
     with tempfile.TemporaryDirectory() as d:
         for file, data in files.items():

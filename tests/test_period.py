@@ -2,23 +2,26 @@
 import dataclasses
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
-from _table_oracle import DictTable, packed_entries
-from rectfree import (BudgetExhaustedError, Cadence, InvalidParameterError,
-                      PeriodResult, defining_matrix, detect_period,
-                      minimal_fold_multiplier, new_generator)
+from _table_oracle import (DictTable, PackedTable, fingerprint_period,
+                           packed_entries)
+from rectfree import (BudgetExhaustedError, Cadence, CorruptCheckpointError,
+                      InvalidParameterError, PeriodResult, defining_matrix,
+                      detect_period, minimal_fold_multiplier, new_generator)
 from rectfree import period
-from rectfree.period import (DEFAULT_WINDOW, ResumeState, _Detector,
-                             _minimize_p, _minimize_pp, _pp_from_ring, _Ring,
-                             _Table)
+from rectfree.period import (DEFAULT_WINDOW, MAX_ANCHORS, SPACING,
+                             ResumeState, _Detector, _minimize_p,
+                             _minimize_pp, _pp_from_ring, _Ring, _window,
+                             anchor_state)
 
 EXPECTED = {
     1: dict(pp=0, p=3, b_breadth=1, l_max=3, case1=True, rows_examined=3),
     2: dict(pp=0, p=7, b_breadth=4, l_max=7, case1=True, rows_examined=7),
     3: dict(pp=48, p=16, b_breadth=4, l_max=9, case1=False,
-            rows_examined=140),
+            rows_examined=80),
     4: dict(pp=0, p=21, b_breadth=16, l_max=21, case1=True,
             rows_examined=21),
     16: dict(pp=0, p=273, b_breadth=256, l_max=273, case1=True,
@@ -55,7 +58,7 @@ class TestExactResults:
         cut = 2  # the ring now starts at row 3
         trimmed = dataclasses.replace(
             snap, ring_first=snap.ring_first + cut,
-            ring=snap.ring[cut * (n + 1):], lags=snap.lags[cut:])
+            ring=snap.ring[cut * (n + 1):])
         calls = []
         monkeypatch.setattr(period, "new_generator",
                             lambda n: calls.append(n) or new_generator(n))
@@ -113,15 +116,14 @@ class TestBudgetAndResume:
         with pytest.raises(BudgetExhaustedError) as info:
             detect_period(3, 40)
         with pytest.raises(BudgetExhaustedError) as info2:
-            detect_period(3, 80, resume=info.value.resume)
-        assert info2.value.rows_examined == 80
+            detect_period(3, 70, resume=info.value.resume)
+        assert info2.value.rows_examined == 70
 
     @pytest.mark.parametrize("window", [16, 20, 24, 32, 64, DEFAULT_WINDOW])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sliced_runs_equal_unsliced(self, n, window):
-        # Slices shorter than the 2p + sigma verification span resume in
-        # the middle of a verification, often after the ring has moved
-        # past the candidate's first row.
+        # Steps from 1 row up cut the run at every row, between each
+        # anchor and its return among them.
         whole = detect_period(n, 1000, window=window)
         for step in range(1, 120):
             resume, sliced = None, None
@@ -150,9 +152,9 @@ class TestInLoopCheckpoints:
     def test_checkpoints_follow_the_row_cadence_and_resume(self):
         states = []
         with pytest.raises(BudgetExhaustedError) as info:
-            detect_period(3, 100, window=16, cadence=Cadence(
-                checkpoint_every_rows=30, save=states.append))
-        assert [s.generator.rows_emitted for s in states] == [30, 60, 90]
+            detect_period(3, 70, window=16, cadence=Cadence(
+                checkpoint_every_rows=20, save=states.append))
+        assert [s.generator.rows_emitted for s in states] == [20, 40, 60]
         # Each state owns its generator, and each resumes like the
         # state at the end of a budget-limited run.
         final = info.value.resume
@@ -169,9 +171,9 @@ class TestInLoopCheckpoints:
         result = detect_period(3, 1000, window=16, cadence=Cadence(
             checkpoint_every_rows=7, save=states.append))
         assert result == detect_period(3, 1000, window=16)
-        # Row 140 confirms the period before its checkpoint falls due.
+        # Row 80 confirms the period before its checkpoint falls due.
         assert [s.generator.rows_emitted for s in states] == \
-            list(range(7, 140, 7))
+            list(range(7, 80, 7))
 
     @pytest.mark.parametrize("kwargs", [
         {"checkpoint_every_rows": 0}, {"checkpoint_every_rows": -1},
@@ -187,9 +189,37 @@ class TestWindow:
         res = detect_period(3, 10_000, window=32)
         assert (res.pp, res.p) == (48, 16)
 
-    def test_too_small_window_exhausts_budget(self):
-        with pytest.raises(BudgetExhaustedError):
-            detect_period(3, 400, window=4)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_window_below_p_still_finds_the_period(self, n):
+        # The window sets the ring alone: every w in 4 .. p - 1 confirms
+        # the true period, now read from the anchor's state.
+        want = {k: EXPECTED[n][k] for k in ("pp", "p", "b_breadth",
+                                            "l_max", "case1")}
+        offsets = list(detect_period(n, 10_000).offsets)
+        for w in range(4, want["p"]):
+            res = detect_period(n, 10_000, window=w)
+            assert dataclasses.asdict(res) | {"rows_examined": 0} == \
+                want | {"n": n, "rows_examined": 0, "offsets": res.offsets}
+            assert list(res.offsets) == offsets, w
+
+    def test_rows_the_ring_lacks_come_from_the_anchor(self, monkeypatch):
+        # A ring cut to start at row 66: the return at row 80 to the
+        # anchor at row 64 regenerates rows 65 .. 80 from the anchor's
+        # state, as for a period longer than the ring, and pp from row 1.
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 70, window=16)
+        resume = info.value.resume
+        trimmed = dataclasses.replace(resume.detector, ring_first=66,
+                                      ring=resume.detector.ring[65 * 4:])
+        calls = []
+        monkeypatch.setattr(period, "anchor_state", lambda n, anchor:
+                            calls.append(anchor[0]) or
+                            anchor_state(n, anchor))
+        res = detect_period(3, 10_000, resume=ResumeState(
+            resume.generator, trimmed))
+        fresh = detect_period(3, 10_000)
+        assert res == fresh and calls == [64]
+        assert list(res.offsets) == list(fresh.offsets)
 
     def test_window_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -204,9 +234,6 @@ class TestWindow:
             detect_period(3, 1000, window=4, resume=info.value.resume,
                           on_row=lambda k, ones: rows.append(k))
         assert rows == []
-        # A fresh run with window 4 can never see p = 16.
-        with pytest.raises(BudgetExhaustedError):
-            detect_period(3, 1000, window=4)
 
     @pytest.mark.parametrize("window", [None, 16])
     def test_resume_keeps_its_window(self, window):
@@ -214,12 +241,124 @@ class TestWindow:
             detect_period(3, 60, window=16)
         res = detect_period(3, 1000, window=window, resume=info.value.resume)
         assert res == detect_period(3, 1000, window=16)
-        assert (res.pp, res.p, res.rows_examined) == (48, 16, 140)
+        assert (res.pp, res.p, res.rows_examined) == (48, 16, 80)
 
     def test_fresh_run_defaults_to_default_window(self):
         with pytest.raises(BudgetExhaustedError) as info:
             detect_period(3, 60, window=None)
         assert info.value.resume.detector.window == DEFAULT_WINDOW
+
+
+def brute_force_period(n: int, rows: int) -> tuple[int, int]:
+    """The least p <= rows / 4 with ones(row i + p) = ones(row i) + p
+    over the second half of the first ``rows`` rows, and the last row pp
+    where that shift fails."""
+    encs = _encodings(n, rows)
+    for p in range(1, rows // 4 + 1):
+        fails = [i for i in range(1, rows - p + 1) if encs[i] != encs[i + p]]
+        if not fails or fails[-1] < rows // 2:
+            return max(fails, default=0), p
+    raise AssertionError("no period within the prefix")
+
+
+class TestAgainstOracles:
+    """The anchors against detectors that share none of their code."""
+
+    @pytest.mark.parametrize("n, rows", [(1, 50), (2, 50), (3, 400),
+                                         (4, 200), (16, 1200)])
+    def test_brute_force_oracle(self, n, rows):
+        res = detect_period(n, 10_000)
+        assert (res.pp, res.p) == brute_force_period(n, rows)
+        encs = _encodings(n, res.pp + res.p)
+        assert list(res.offsets) == [o for enc in encs[res.pp + 1:]
+                                     for o in enc]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("window", [16, 64, DEFAULT_WINDOW])
+    def test_the_fingerprint_oracle_agrees(self, n, window):
+        res = detect_period(n, 10_000, window=window)
+        assert fingerprint_period(n, 10_000, window) == (res.pp, res.p)
+
+    @pytest.mark.parametrize("n, p, rows", [(3, 16, 70), (4, 21, 20),
+                                            (5, 31, 3000), (6, 64, 3000)])
+    def test_an_anchor_state_gives_the_next_rows(self, n, p, rows):
+        # Every anchor of a run, rebuilt with from_snapshot, makes the
+        # next 2p rows (64 at n = 6, whose period is unknown).
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(n, rows)
+        anchors = info.value.resume.detector.anchors
+        assert anchors
+        encs = _encodings(n, rows + 2 * p)
+        for anchor in anchors:
+            a = anchor[0]
+            gen = anchor_state(n, anchor)
+            made = [gen._advance() for _ in range(2 * p)]
+            assert [(k, tuple([j - k for j in ones])) for k, ones in made] \
+                == list(zip(range(a + 1, a + 2 * p + 1),
+                            encs[a + 1:a + 2 * p + 1])), a
+
+
+class TestAnchors:
+    @pytest.mark.parametrize("rows", [15, 16, 17, 5000, 40_000])
+    def test_anchors_sit_on_the_grid_of_the_row_count(self, rows):
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(6, rows)
+        snap = info.value.resume.detector
+        spacing = SPACING
+        while rows // spacing > MAX_ANCHORS:
+            spacing *= 2
+        assert snap.spacing == spacing
+        assert [a for a, _, _ in snap.anchors] == \
+            list(range(spacing, rows + 1, spacing))
+
+    def test_a_full_set_thins_and_still_finds_the_period(self, monkeypatch):
+        # Two anchors at most: the spacing doubles to 32 at row 48, and
+        # the anchor at row 64, past pp = 48, still returns at row 80.
+        monkeypatch.setattr(period, "MAX_ANCHORS", 2)
+        snaps = []
+        res = detect_period(3, 10_000, cadence=Cadence(
+            checkpoint_every_rows=1, save=lambda s: snaps.append(
+                s.detector)))
+        assert (res.pp, res.p) == (48, 16)
+        assert all(len(s.anchors) <= 2 for s in snaps)
+        assert [(s.spacing, [a for a, _, _ in s.anchors])
+                for s in snaps[31::16]] == [
+            (16, [16, 32]), (32, [32]), (32, [32, 64])]
+        assert res.rows_examined == 80
+
+    def test_resume_refuses_more_anchors_than_the_cap(self):
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 70)
+        resume = info.value.resume
+        too_many = dataclasses.replace(
+            resume.detector,
+            anchors=resume.detector.anchors[:1] * (MAX_ANCHORS + 1))
+        with pytest.raises(CorruptCheckpointError, match=r"^1025 anchors"):
+            detect_period(3, 1000, resume=ResumeState(resume.generator,
+                                                      too_many))
+
+    def test_thinning_keeps_each_anchor_with_its_own_state(
+            self, monkeypatch):
+        # A full set of two at rows 16 and 32: row 64 lies on the doubled
+        # spacing, so it joins row 32, each with the window it came with.
+        monkeypatch.setattr(period, "MAX_ANCHORS", 2)
+        det = _Detector(16, new_generator(3).params)
+        windows = {a: array("b", [a, a + 1, a + 2, a + 3]) for a in
+                   (16, 32, 64)}
+        for a, window in windows.items():
+            det.place(a, a // 16, window)
+        assert det.spacing == 32
+        assert det.anchors == {32: (2, windows[32]), 64: (4, windows[64])}
+        assert det.keys == {((32, 33, 34, 35), 2, 1): [32],
+                            ((64, 65, 66, 67), 4, 1): [64]}
+
+    def test_a_shared_key_keeps_both_anchors(self):
+        det = _Detector(16, new_generator(3).params)
+        one, two = array("b", [0, 1, 2, 3] * 2), array("b", [5, 6, 7, 8,
+                                                            0, 1, 2, 3])
+        det.place(16, 3, one)
+        det.place(32, 3, two)
+        assert det.keys == {((0, 1, 2, 3), 3, 2): [16, 32]}
 
 
 class TestCallbacks:
@@ -266,7 +405,7 @@ class TestMinimizeP:
     def test_a_multiple_shrinks_to_the_period(self, n, k0, candidates, p):
         ring = _Ring(10 ** 6, n + 1)
         for enc in _encodings(n, 200)[1:]:
-            ring.append(list(enc), 0)
+            ring.append(list(enc))
         for cand in candidates:
             assert _minimize_p(ring, k0, cand) == p, cand
 
@@ -289,7 +428,7 @@ class TestPreperiodFromRing:
                     continue
                 ring = _Ring(10 ** 6, n + 1, first)
                 for enc in encs[first:]:
-                    ring.append(list(enc), 0)
+                    ring.append(list(enc))
                 got = _pp_from_ring(ring, k0, p)
                 if first == 1 or first <= want:
                     assert got == want, (k0, p, first)
@@ -303,97 +442,121 @@ class TestPreperiodFromRing:
         monkeypatch.setattr(period, "_minimize_pp",
                             lambda *a: calls.append(a) or _minimize_pp(*a))
         res = detect_period(3, 10_000, window=window)
-        assert (res.pp, res.p, res.rows_examined) == (48, 16, 140)
+        assert (res.pp, res.p, res.rows_examined) == (48, 16, 80)
         assert calls == []
 
     def test_a_trimmed_ring_falls_back_to_the_fresh_pass(self, monkeypatch):
-        # Budget out mid-verification: the snapshot's ring starts at the
-        # candidate's k0 = 55, past the last mismatch at row 48.
+        # A ring cut to start at row 55, past the last mismatch at row
+        # 48: the return at row 80 to the anchor at row 64 cannot show
+        # pp, which comes from a fresh cursor.
         with pytest.raises(BudgetExhaustedError) as info:
-            detect_period(3, 130, window=16)
-        snap = info.value.resume.detector
-        assert snap.candidate == (55, 16)
-        assert snap.ring_first == 55
+            detect_period(3, 70, window=16)
+        resume = info.value.resume
+        snap = resume.detector
+        assert snap.ring_first == 1
+        trimmed = dataclasses.replace(snap, ring_first=55,
+                                      ring=snap.ring[54 * 4:])
         calls = []
         monkeypatch.setattr(period, "_minimize_pp",
                             lambda *a: calls.append(a) or _minimize_pp(*a))
-        res = detect_period(3, 10_000, window=16, resume=info.value.resume)
+        res = detect_period(3, 10_000, resume=ResumeState(
+            resume.generator, trimmed))
         assert res == detect_period(3, 10_000, window=16)
-        assert calls == [(3, 55, 16)]
+        assert calls == [(3, 65, 16)]
 
 
 class TestPackedDetector:
-    """The ring and the recurrence table keep their rows in typed arrays."""
+    """The ring keeps its rows in a typed array; anchors are few."""
 
     def test_order6_detector_holds_at_most_48_bytes_per_ring_row(self):
         # Fed as detect_period feeds its live detector, until the ring
-        # holds window + sigma + 1 rows: ring offsets and lags, the
-        # table's key ring and slots.  This measures 40 bytes per row; a
-        # dict table with a deque of int keys held 87, and a ring of
-        # per-row tuples with tuple keys about 370.
+        # holds window + sigma + 1 rows: ring offsets and the anchors.
+        # This measures about 10 bytes per row; the fingerprint table it
+        # replaced held 40, a dict table with a deque of int keys 87, and
+        # a ring of per-row tuples with tuple keys about 370.
         gen = new_generator(6)
         window = 1 << 14
         rows = window + gen.params.sigma + 1
         feed = []  # generated untraced: only the detector is measured
         for _ in range(rows):
             k, ones = gen._advance()
-            feed.append((k, ones, gen.next_k, gen.frontier_l))
+            feed.append((k, ones, k + 1 - gen.frontier_l,
+                         _window(gen._live) if k % SPACING == 0 else None))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             det = _Detector(window, gen.params)
-            for k, ones, state_k, frontier in feed:
-                enc = [j - k for j in ones]
-                det.ring.append(enc, state_k - frontier)
-                det.push_row(ones[-1], tuple(enc), frontier)
-                det.table.record(state_k, det.poly, len(det.deq),
-                                 state_k - frontier)
+            for k, ones, lag, window_k in feed:
+                det.ring.append([j - k for j in ones])
+                if window_k is not None and k % det.spacing == 0:
+                    det.place(k, lag, window_k)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(det.ring.lags) == rows
-        assert len(packed_entries(det.table, state_k)[0]) == window
+        assert det.ring.first == 1 and det.ring.covers(rows)
+        assert len(det.anchors) == rows // det.spacing <= MAX_ANCHORS
         assert held <= 48 * rows, held / rows
+
+    def test_anchor_memory_at_the_cap(self):
+        # MAX_ANCHORS order-6 anchors, as the detector holds them after
+        # a long run: about 32 live rows each, 660 bytes with the keys
+        # and dict entries, 0.66 MiB in all.
+        gen = new_generator(6)
+        stored = []
+        while len(stored) < MAX_ANCHORS:
+            k, _ = gen._advance()
+            if k % SPACING == 0:
+                stored.append((k, k + 1 - gen.frontier_l,
+                               _window(gen._live)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            det = _Detector(4, gen.params)
+            for k, lag, window in stored:
+                det.place(k, lag, array("b", window))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(det.anchors) == MAX_ANCHORS
+        assert held < 1 << 20, held / MAX_ANCHORS
 
     def test_widening_keeps_every_row(self):
         ring = _Ring(100, 3)
-        rows = [([-1, 0, 1], 0), ([-128, 5, 127], 127),
-                ([3, 200, -7], 128),            # offsets need 2 bytes
-                ([0, 1, 2], 3),
-                ([-40_000, 0, 9], 1 << 20),      # 4 bytes for both
-                ([1, 2, 3], -1),
-                ([1 << 40, 0, 0], 5)]            # offsets need 8 bytes
-        widths = [(1, 1), (1, 1), (2, 2), (2, 2), (4, 4), (4, 4), (8, 4)]
-        for t, ((offs, lag), want) in enumerate(zip(rows, widths)):
-            ring.append(offs, lag)
-            assert (ring.offs.itemsize, ring.lags.itemsize) == want, t
-            assert ring.offs.tolist() == [o for r, _ in rows[:t + 1]
+        rows = [[-1, 0, 1], [-128, 5, 127],
+                [3, 200, -7],            # offsets need 2 bytes
+                [0, 1, 2],
+                [-40_000, 0, 9],         # 4 bytes
+                [1, 2, 3],
+                [1 << 40, 0, 0]]         # 8 bytes
+        widths = [1, 1, 2, 2, 4, 4, 8]
+        for t, (offs, want) in enumerate(zip(rows, widths)):
+            ring.append(offs)
+            assert ring.offs.itemsize == want, t
+            assert ring.offs.tolist() == [o for r in rows[:t + 1]
                                           for o in r]
-            assert ring.lags.tolist() == [lag for _, lag in rows[:t + 1]]
         assert ring.rows(4, 6).tolist() == [0, 1, 2, -40_000, 0, 9]
         with pytest.raises(OverflowError):
-            ring.append([1 << 63, 0, 0], 0)
-        assert len(ring.offs) == 3 * len(ring.lags) == 21
+            ring.append([1 << 63, 0, 0])
+        assert len(ring.offs) == 21
 
-    def test_trimming_keeps_the_newest_rows_and_the_pin(self):
+    def test_trimming_keeps_the_newest_rows(self):
         ring = _Ring(4, 2)
         for i in range(1, 8):
-            ring.append([i, -i], i)
+            ring.append([i, -i])
         assert ring.first == 4  # trimmed to 4 rows at the 7th
         assert ring.offs.tolist() == [4, -4, 5, -5, 6, -6, 7, -7]
-        ring.pin = 5
         for i in range(8, 20):
-            ring.append([i, -i], i)
-        assert ring.first == 5 and ring.covers(5) and ring.covers(19)
-        assert ring.rows(5, 6).tolist() == [5, -5]
-        assert ring.lags.tolist() == list(range(5, 20))
+            ring.append([i, -i])
+        assert ring.first == 16 and ring.covers(16) and ring.covers(19)
+        assert not ring.covers(15) and not ring.covers(20)
+        assert ring.rows(16, 17).tolist() == [16, -16]
 
 
 def feed_both(window, keys, first=2):
     """Record ``keys`` (poly, live, lag) as states first, first + 1, ...
     in a packed table and in the dict oracle; every return and, after
     every record, the whole table must agree."""
-    packed, oracle = _Table(window), DictTable(window)
+    packed, oracle = PackedTable(window), DictTable(window)
     for k, key in enumerate(keys, first):
         assert packed.record(k, *key) == oracle.record(k, *key), k
         assert packed_entries(packed, k) == (oracle.table, oracle.ages), k
@@ -401,7 +564,8 @@ def feed_both(window, keys, first=2):
 
 
 class TestPackedTable:
-    """The packed table answers as the dict and deque it replaced."""
+    """The fingerprint oracle's packed table answers as the dict and
+    deque it replaced."""
 
     # Homes 0 and 1, and 7, 15 and 4095: the last slot of 8, of 16 and of
     # every table up to 4096 slots.  Each low part comes with several
@@ -436,7 +600,7 @@ class TestPackedTable:
         keys = [(rng.randrange(1 << 61), rng.randrange(1 << 20),
                  rng.randrange(-1 << 20, 1 << 20)) for _ in range(600)]
         sizes = []
-        packed, oracle = _Table(100), DictTable(100)
+        packed, oracle = PackedTable(100), DictTable(100)
         for k, key in enumerate(keys, 2):
             assert packed.record(k, *key) == oracle.record(k, *key)
             sizes.append(len(packed.slots))
