@@ -27,10 +27,11 @@ anchor.  A packed block is its element width (the smallest of 1, 2, 4
 or 8 bytes that holds every value), its byte length, and the elements.
 
 Versions 1 and 2 still load, and are never written.  Version 2 stored
-a lag per ring row and a fingerprint candidate instead of anchors, which
-are seeded from its ring (:func:`~rectfree.period.anchors_from_ring`).
-Version 1 stored neither: it loads with an empty ring and no anchors.
-A state left out can only delay detection.
+a lag per ring row and a fingerprint candidate instead of anchors: the
+anchors are seeded from its ring
+(:func:`~rectfree.period.anchors_from_ring`), and the candidate, a state
+off their grid, is dropped.  Version 1 stored neither: it loads with an
+empty ring and no anchors.  A state left out can only delay detection.
 
 Writes go to a temporary file in the destination directory which is
 fsynced and atomically renamed over the target, so a crash at any
@@ -341,13 +342,9 @@ def _decode(records: list[memoryview], version: int) -> Checkpoint:
             if flag not in (0, 1):
                 raise CorruptCheckpointError(
                     f"detector candidate flag must be 0 or 1, got {flag}")
-            keep = None
-            if flag:  # a candidate (k0, p): the state after row k0 - 1
-                keep = d_r.u64() - 1
-                d_r.u64()
+            d_r.take(16 * flag)  # a candidate (k0, p): off the grid
             if version == 2:
-                spacing, anchors = anchors_from_ring(
-                    n, ring_first, ring, lags, keep)
+                spacing, anchors = anchors_from_ring(n, ring_first, ring, lags)
         else:
             spacing, count = d_r.u64(), d_r.u64()
             rows, lags, lives = [d_r.packed(count) for _ in range(3)]

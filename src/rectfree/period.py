@@ -14,7 +14,10 @@ equals, in that form, the state after an earlier row a, the generator
 after row k is the one after row a shifted by p = k - a, and every later
 row repeats: ones(row i + p) = ones(row i) + p for all i > a.  An
 element-by-element comparison of the two states proves the period: no
-hash is trusted, and nothing is left to verify.
+hash is trusted, and nothing is left to verify.  An anchor read from a
+snapshot is only as sound as the file, so a resumed detector refuses
+one off the spacing grid or disagreeing with the ring's rows, and one
+confirms a period only after a fresh cursor has reached its state.
 
 The detector stores the state after every S-th row as an anchor, keyed
 by the newest row's offsets, the lag and L; each row costs one key and
@@ -45,6 +48,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, sub
@@ -133,8 +137,9 @@ class PeriodResult:
     (pp, pp+p]; ``l_max`` the largest row length there.  ``case1`` marks
     the restart shortcut.  ``rows_examined`` counts the rows generated by
     the detection cursor, resumed runs included.  Rows that a run
-    regenerates are not counted: rows 1..p for the restart shortcut when
-    the ring starts after row 1, rows 1 through a + p for pp when the
+    regenerates are not counted: rows 1 .. a to check a snapshot's anchor
+    a before it confirms a period, rows 1..p for the restart shortcut
+    when the ring starts after row 1, rows 1 through a + p for pp when the
     ring no longer reaches back to the last row-shift mismatch, and the
     period's rows from the anchor's state when the period is longer than
     the ring.  ``offsets`` is one period, in the ring's flat layout: the
@@ -231,7 +236,7 @@ class _Ring:
     starts one byte wide and widens (2, 4, then 8 bytes) when a value
     does not fit, keeping every row.  Row i starts at
     ``offs[(i - first) * width]``.  :meth:`trim` cuts the oldest rows
-    back to ``maxlen``; :meth:`append` does so past 1.5 ``maxlen`` rows.
+    back to ``maxlen``: the owner decides when.
     """
 
     __slots__ = ("maxlen", "width", "first", "offs")
@@ -248,8 +253,6 @@ class _Ring:
             self.offs.fromlist(offs)  # all or nothing
         except OverflowError:
             self.offs = narrowest(self.offs, offs)
-        if len(self.offs) > (self.maxlen + (self.maxlen >> 1)) * self.width:
-            self.trim()
 
     def trim(self) -> None:
         cut = len(self.offs) // self.width - self.maxlen
@@ -308,11 +311,7 @@ class _Detector:
     def _index(self, a: int, lag: int, window: array) -> None:
         w = self.width
         key = (tuple(window[-w:]), lag, len(window) // w)
-        rows = self.keys.get(key)
-        if rows is None:
-            self.keys[key] = [a]
-        else:
-            rows.append(a)
+        self.keys.setdefault(key, []).append(a)
 
     def snapshot(self) -> DetectorSnapshot:
         ring = self.ring
@@ -359,23 +358,26 @@ class _Detector:
                 f"{MAX_ANCHORS} at most, at a power of two from {SPACING}")
         last = 0
         for a, lag, window in snap.anchors:
-            if not last < a <= k:
+            if not last < a <= k or a % spacing:
                 raise CorruptCheckpointError(
-                    f"anchor rows must rise to row {k} at most; row {a} "
-                    f"follows row {last}")
+                    f"anchor rows must rise to row {k} at most on the "
+                    f"spacing-{spacing} grid; row {a} follows row {last}")
             rows, rest = divmod(len(window), w)
             if rest or not 1 <= rows <= min(a, det.sigma):
                 raise CorruptCheckpointError(
                     f"anchor at row {a} holds {len(window)} offsets, not "
                     f"1 to {min(a, det.sigma)} rows of {w}")
+            if ring.covers(a - rows + 1) and \
+                    ring.rows(a - rows + 1, a + 1) != window:
+                raise CorruptCheckpointError(
+                    f"anchor at row {a} disagrees with the ring's rows")
             det.anchors[a] = (lag, window)
             det._index(a, lag, window)
             last = a
         return det
 
 
-def anchors_from_ring(n: int, first: int, ring: array, lags: array,
-                      keep: int | None = None
+def anchors_from_ring(n: int, first: int, ring: array, lags: array
                       ) -> tuple[int, tuple[Anchor, ...]]:
     """The spacing and anchors of a detector whose ring holds rows
     ``first`` onwards, with ``lags[t]`` the lag of the state after row
@@ -391,8 +393,7 @@ def anchors_from_ring(n: int, first: int, ring: array, lags: array,
     :func:`defining_matrix`), so it is exact for every state after row
     ``first + sigma - 2``, or from row 1 when the ring starts there.  The
     anchors are those states on the spacing grid, thinned as a run thins
-    them, plus the state after row ``keep`` (a format-2 candidate's k0 - 1)
-    when the ring holds its live window.
+    them.
     """
     params = Params.for_order(n)
     w = n + 1
@@ -401,12 +402,8 @@ def anchors_from_ring(n: int, first: int, ring: array, lags: array,
     reach = list(accumulate(map(add, range(first, first + len(lags)),
                                 ring[w - 1::w]), max))
     lo = first if first == 1 else first + params.sigma - 1
-    last = first + len(lags) - 1
-    rows = set(range(-(-lo // SPACING) * SPACING, last + 1, SPACING))
-    if keep is not None and lo <= keep <= last:
-        rows.add(keep)
-    for a in sorted(rows):
-        if a % det.spacing and a != keep:
+    for a in range(-(-lo // SPACING) * SPACING, first + len(lags), SPACING):
+        if a % det.spacing:
             continue
         lag = lags[a - first]
         start = first + bisect_left(reach, a + 1 - lag)
@@ -428,10 +425,6 @@ def anchor_state(n: int, anchor: Anchor) -> GeneratorState:
                    for i in range(top, a + 1)])
 
 
-def _proper_divisors(p: int) -> list[int]:
-    return [d for d in range(1, p) if p % d == 0]
-
-
 def _measure(ring: _Ring, lo: int, hi: int) -> tuple[int, int]:
     """(b_breadth, l_max) over rows lo .. hi - 1 of ``ring`` (lo < hi)."""
     w = ring.width
@@ -445,7 +438,7 @@ def _minimize_p(ring: _Ring, k0: int, p: int) -> int:
     """Shrink p to its smallest divisor that already shifts the window
     of rows k0 + 1 .. k0 + p; the ring must hold rows through k0 + 2p."""
     while True:
-        for cand in _proper_divisors(p):
+        for cand in [d for d in range(1, p) if p % d == 0]:
             if ring.rows(k0 + 1, k0 + p + 1) == \
                     ring.rows(k0 + 1 + cand, k0 + p + 1 + cand):
                 p = cand
@@ -569,6 +562,7 @@ def detect_period(n: int, max_rows: int, *, window: int | None = None,
     if resume is None:
         gen = new_generator(n)
         det = _Detector(window or DEFAULT_WINDOW, gen.params)
+        restored = 0
     else:
         if window not in (None, resume.detector.window):
             raise InvalidParameterError(
@@ -578,6 +572,7 @@ def detect_period(n: int, max_rows: int, *, window: int | None = None,
         if gen.params is None or gen.params.n != n:
             raise InvalidParameterError("resume state is for a different order")
         det = _Detector.resume(resume.detector, gen)
+        restored = gen.rows_emitted  # anchors up to here are the snapshot's
         # The detector holds copies: keep no reference to the snapshot,
         # so that it is freed if the caller holds none either.
         resume = None
@@ -627,8 +622,22 @@ def detect_period(n: int, max_rows: int, *, window: int | None = None,
                 now = _window(live_rows, ring)
                 for a in hit:
                     if anchors[a][1] == now:
-                        return _finish(gen, ring, a, k - a,
-                                       (a, k + 1 - frontier, now))
+                        anchor = (a, k + 1 - frontier, now)
+                        if a <= restored:
+                            _vouch(n, anchor)
+                        return _finish(gen, ring, a, k - a, anchor)
+
+
+def _vouch(n: int, anchor: Anchor) -> None:
+    """Raise :class:`CorruptCheckpointError` unless a fresh cursor's state
+    after the anchor's row is the anchor's."""
+    a, lag, window = anchor
+    gen = new_generator(n)
+    for _ in range(a):
+        gen._advance()
+    if a + 1 - gen.frontier_l != lag or _window(gen._live) != window:
+        raise CorruptCheckpointError(
+            f"anchor at row {a} is not the state after row {a}")
 
 
 def _finish(gen: GeneratorState, ring: _Ring, a: int, p: int,
@@ -695,12 +704,12 @@ def _minimize_pp(n: int, k0: int, p: int) -> int:
     """Largest i < k0 where the row-shift identity fails (0 if none),
     from a fresh cursor: the fallback of :func:`_pp_from_ring`."""
     gen = new_generator(n)
-    recent = _Ring(p, n + 1)  # at least rows k - p .. k - 1
+    recent = deque(maxlen=p)  # rows k - p .. k - 1
     last_fail = 0
     for k in range(1, k0 + p):
         _, ones = gen._advance()
         enc = [j - k for j in ones]
-        if k > p and recent.rows(k - p, k - p + 1).tolist() != enc:
+        if k > p and recent[0] != enc:
             last_fail = k - p
         recent.append(enc)
     return last_fail

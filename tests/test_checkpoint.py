@@ -180,17 +180,30 @@ DAMAGE = [
     ("gen", lambda r: _bump_u32(r[3], 16), b"",
      "stored column weights disagree with the live rows"),
     # The anchors of the checkpoint of ``period -n 3 --max-rows 70``:
-    # rows 16, 32, 48 and 64 at spacing 16.
+    # rows 16, 32, 48 and 64 at spacing 16, 32 live rows in all, under a
+    # ring of rows 1 .. 70.
     ("period", lambda r: _set_u64(r[5], _anchors_at(r[5]), 24), b"",
      "4 anchors at spacing 24: not 1024 at most, at a power of two"),
     ("period", lambda r: _set_u64(r[5], _anchors_at(r[5]), 8), b"",
      "4 anchors at spacing 8: not 1024 at most, at a power of two"),
     ("period", lambda r: _set_anchor(r[5], 0, 2, 16), b"",
-     "anchor rows must rise to row 70 at most; row 16 follows row 32"),
+     "anchor rows must rise to row 70 at most on the spacing-16 grid; "
+     "row 16 follows row 32"),
     ("period", lambda r: _set_anchor(r[5], 0, 3, 80), b"",
-     "anchor rows must rise to row 70 at most; row 80 follows row 48"),
+     "anchor rows must rise to row 70 at most on the spacing-16 grid; "
+     "row 80 follows row 48"),
     ("period", lambda r: _set_anchor(r[5], 0, 0, 0), b"",
-     "anchor rows must rise to row 70 at most; row 0 follows row 0"),
+     "anchor rows must rise to row 70 at most on the spacing-16 grid; "
+     "row 0 follows row 0"),
+    # Still rising and within the run, but off the grid: trusted, the
+    # state after row 64 would return at row 80 as p = 20.
+    ("period", lambda r: _set_anchor(r[5], 0, 3, 60), b"",
+     "anchor rows must rise to row 70 at most on the spacing-16 grid; "
+     "row 60 follows row 48"),
+    ("period", lambda r: _set_anchor(r[5], 3, 32 * 4 - 1, 99), b"",
+     "anchor at row 64 disagrees with the ring's rows"),
+    ("period", lambda r: _set_anchor(r[5], 3, 0, 99), b"",
+     "anchor at row 16 disagrees with the ring's rows"),
     ("period", lambda r: _pile_live_rows_on_the_first_anchor(r[5]), b"",
      "anchor at row 16 holds 116 offsets, not 1 to 16 rows of 4"),
     ("period", lambda r: _set_anchor(r[5], 2, 1, 0), b"",
@@ -625,6 +638,34 @@ class TestCorruptionDefense:
         bad.write_bytes(path.read_bytes() + b"zz")
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("ring_first, match", [
+        (None, "anchor at row 64 disagrees with the ring's rows"),
+        (66, "anchor at row 64 is not the state after row 64")])
+    def test_a_forged_anchor_is_never_a_finding(self, tmp_path, capsys,
+                                                ring_first, match):
+        # The anchor at row 64 carries the state after row 70, which
+        # returns at row 86: trusted, it would give p = 22.  A ring that
+        # holds row 64's live rows refuses it on load; a ring cut to
+        # start at row 66 cannot, and a fresh cursor refuses it there.
+        with pytest.raises(BudgetExhaustedError) as info:
+            detect_period(3, 79, window=16)
+        resume = info.value.resume
+        snap = resume.detector
+        assert [a for a, _, _ in snap.anchors] == [16, 32, 48, 64]
+        gen = new_generator(3)
+        for _ in range(70):
+            gen._advance()
+        forged = (64, 71 - gen.frontier_l, _window(gen._live))
+        first = ring_first or snap.ring_first
+        path = tmp_path / "forged.ckpt"
+        save_resume(dataclasses.replace(resume, detector=dataclasses.replace(
+            snap, ring_first=first,
+            ring=snap.ring[(first - snap.ring_first) * 4:],
+            anchors=snap.anchors[:3] + (forged,))), path)
+        assert main(["period", "-n", "3", "--window", "16", "--checkpoint",
+                     str(path), "--progress-every", "0"]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"error: {match}\n")
 
     def test_ring_blob_disagreeing_with_row_count_rejected(self, tmp_path):
         path = period_checkpoint(tmp_path, 3, 70, 16)

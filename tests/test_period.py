@@ -543,10 +543,15 @@ class TestPackedDetector:
         ring = _Ring(4, 2)
         for i in range(1, 8):
             ring.append([i, -i])
-        assert ring.first == 4  # trimmed to 4 rows at the 7th
+        assert ring.first == 1  # only trim() cuts
+        ring.trim()
+        assert ring.first == 4
         assert ring.offs.tolist() == [4, -4, 5, -5, 6, -6, 7, -7]
+        ring.trim()
+        assert ring.first == 4
         for i in range(8, 20):
             ring.append([i, -i])
+        ring.trim()
         assert ring.first == 16 and ring.covers(16) and ring.covers(19)
         assert not ring.covers(15) and not ring.covers(20)
         assert ring.rows(16, 17).tolist() == [16, -16]
